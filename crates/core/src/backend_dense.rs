@@ -68,7 +68,8 @@ impl LeastDense {
     /// spectral-bound constraint: the raw data never has to be in memory
     /// (or exist at all — statistics are typically the product of a
     /// one-pass out-of-core ingestion; see `least-ingest` / DESIGN.md §9).
-    /// Per-iteration cost is `O(d²)`, independent of `n`.
+    /// Per-iteration cost is `O(d² + d·nnz(W))` — `O(d³)` only while `W`
+    /// is still dense — independent of `n` (DESIGN.md §2.1).
     pub fn fit_stats(&self, stats: &SufficientStats) -> Result<LearnedDense> {
         let cfg = self.config();
         let bound = crate::SpectralBound::new(cfg.k, cfg.alpha)?;

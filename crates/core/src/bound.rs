@@ -12,7 +12,10 @@
 //! `ρ(S) ≤ maxᵢ r(S)ᵢᵅ·c(S)ᵢ^{1−α}`, and the sum dominates the max. The
 //! diagonal similarity transform preserves the spectrum while shrinking the
 //! bound toward `ρ(S)` (Lemma 1; tightens as `k` grows, `k ≈ 5` suffices
-//! per the paper). Everything here is `O(k·nnz)` time, `O(nnz)` space.
+//! per the paper). The sparse pass costs `O(k·nnz)`. The dense pass scans
+//! `W` once (`O(d²)`) and then runs on its nonzero pattern,
+//! `O(k·(d + nnz))`, with every level equal to a full `d×d` sweep's
+//! (DESIGN.md §2.1). Both retain `k + 1` levels of `nnz` values.
 //!
 //! Numerical guard (DESIGN.md §6): fractional powers of row/column sums use
 //! an ε-floor so gradients stay finite; exact zeros stay exactly zero so
@@ -22,6 +25,7 @@ use crate::constraint::Acyclicity;
 use crate::grad;
 use least_linalg::vecops::powf_floored;
 use least_linalg::{par, CsrMatrix, DenseMatrix, LinalgError, Result};
+use std::ops::Range;
 
 /// Floor applied inside fractional powers (see module docs).
 pub const POW_EPS: f64 = 1e-12;
@@ -57,32 +61,30 @@ impl SpectralBound {
     }
 
     /// Dense forward pass, retaining per-level state for the backward pass.
+    ///
+    /// Every level lives on the nonzero pattern of `W` (`D⁻¹SD` keeps
+    /// zeros), so after one `O(d²)` scan of `W` the pass costs
+    /// `O(k·(d + nnz))`, one sweep of the pattern per level. Row and
+    /// column sums add the pattern's entries in the order a full `d×d`
+    /// sweep would (the skipped entries are exact zeros), so every level
+    /// equals the full computation exactly.
     pub fn forward_dense(&self, w: &DenseMatrix) -> Result<SpectralBoundForward> {
         if !w.is_square() {
             return Err(LinalgError::NotSquare { shape: w.shape() });
         }
+        let (pattern, first) = DensePattern::with_squares(w);
+        let mut level = BoundLevel::new(first, self.alpha);
         let mut levels = Vec::with_capacity(self.k + 1);
-        let mut s = w.hadamard_square();
-        for j in 0..=self.k {
-            let r = s.row_sums();
-            let c = s.col_sums();
-            let b = combine_sums(&r, &c, self.alpha);
-            let advance = j < self.k;
-            let next = if advance {
-                Some(diag_similarity_dense(&s, &b))
-            } else {
-                None
-            };
-            levels.push(BoundLevel { s, r, c, b });
-            match next {
-                Some(n) => s = n,
-                None => break,
-            }
+        for _ in 0..self.k {
+            let next = BoundLevel::new(pattern.diag_similarity(&level.s, &level.b), self.alpha);
+            levels.push(std::mem::replace(&mut level, next));
         }
-        let delta = levels.last().expect("k+1 levels").b.iter().sum();
+        let delta = level.b.iter().sum();
+        levels.push(level);
         Ok(SpectralBoundForward {
             alpha: self.alpha,
             delta,
+            pattern,
             levels,
         })
     }
@@ -145,25 +147,166 @@ fn combine_sums(r: &[f64], c: &[f64], alpha: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Dense `D⁻¹ S D`: `S[i,l]·b[l]/b[i]`, zero row/col where `b` vanishes.
-/// Output rows are independent — computed row-parallel for large `d`.
-fn diag_similarity_dense(s: &DenseMatrix, b: &[f64]) -> DenseMatrix {
-    let d = s.rows();
-    let inv: Vec<f64> = b
-        .iter()
-        .map(|&x| if x > 0.0 { 1.0 / x } else { 0.0 })
-        .collect();
-    let mut out = DenseMatrix::zeros(d, d);
-    par::for_each_row_mut(out.as_mut_slice(), d, dense_row_grain(d), |i, row_out| {
-        let inv_i = inv[i];
-        if inv_i == 0.0 {
-            return;
+/// Minimum pattern slots per worker in [`DensePattern::for_each_row_mut`]:
+/// each slot costs a few flops, so smaller blocks lose to the spawn.
+const ROW_BLOCK_SLOTS: usize = 1 << 16;
+
+/// The nonzero pattern of a square dense iterate: the support of every
+/// level of the dense forward pass and of the gradient the backward pass
+/// propagates. Each row's nonzeros are stored as runs of consecutive
+/// columns, so per-slot loops stay contiguous (and vectorize) on dense
+/// rows while costing `O(nnz)` on sparse ones; slots are numbered row by
+/// row, columns ascending.
+#[derive(Debug, Clone)]
+pub(crate) struct DensePattern {
+    /// Order `d`.
+    pub d: usize,
+    /// Row `i`'s slots are `row_ptr[i]..row_ptr[i + 1]`.
+    row_ptr: Vec<usize>,
+    /// Row `i`'s runs are `runs[run_ptr[i]..run_ptr[i + 1]]`.
+    run_ptr: Vec<usize>,
+    /// `(first column, length)` of every run.
+    runs: Vec<(u32, u32)>,
+}
+
+impl DensePattern {
+    /// The pattern of `w`'s nonzeros, and `S = w ∘ w` on it.
+    fn with_squares(w: &DenseMatrix) -> (Self, Summed) {
+        let d = w.rows();
+        let mut pattern = Self {
+            d,
+            row_ptr: Vec::with_capacity(d + 1),
+            run_ptr: Vec::with_capacity(d + 1),
+            runs: Vec::new(),
+        };
+        pattern.row_ptr.push(0);
+        pattern.run_ptr.push(0);
+        let mut level = Summed::new(d, w.count_nonzero(0.0));
+        for values in w.rows_iter() {
+            let mut start = seek(values, 0, |v| v != 0.0);
+            while start < d {
+                let end = seek(values, start, |v| v == 0.0);
+                pattern.runs.push((start as u32, (end - start) as u32));
+                level.s.extend(values[start..end].iter().map(|v| v * v));
+                start = seek(values, end, |v| v != 0.0);
+            }
+            pattern.row_ptr.push(level.s.len());
+            pattern.run_ptr.push(pattern.runs.len());
+            // The scan is O(d) per row anyway: sum the full row (zeros add
+            // nothing) rather than the runs.
+            level.r.push(values.iter().fold(0.0, |sum, &v| sum + v * v));
+            for (cl, &v) in level.c.iter_mut().zip(values) {
+                *cl += v * v;
+            }
         }
-        for ((o, &v), &bl) in row_out.iter_mut().zip(s.row(i)).zip(b) {
-            *o = v * inv_i * bl;
+        (pattern, level)
+    }
+
+    /// Number of slots.
+    pub fn nnz(&self) -> usize {
+        self.row_ptr[self.d]
+    }
+
+    /// Slot range of row `i`.
+    pub fn slots(&self, i: usize) -> Range<usize> {
+        self.row_ptr[i]..self.row_ptr[i + 1]
+    }
+
+    /// Row `i`'s runs, as `(slots relative to the row's first, columns)`.
+    pub fn runs(&self, i: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+        let mut at = 0;
+        self.runs[self.run_ptr[i]..self.run_ptr[i + 1]]
+            .iter()
+            .map(move |&(col, len)| {
+                let (col, len) = (col as usize, len as usize);
+                at += len;
+                (at - len..at, col..col + len)
+            })
+    }
+
+    /// Run `f(i, out)` for every row `i`, where `out` is row `i`'s slots
+    /// of `values`. Blocks of rows run in parallel once each averages
+    /// [`ROW_BLOCK_SLOTS`] slots; rows are independent, so the split never
+    /// changes a result.
+    pub fn for_each_row_mut<F>(&self, values: &mut [f64], f: F)
+    where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
+        let grain = (ROW_BLOCK_SLOTS * self.d).div_ceil(self.nnz().max(1));
+        let blocks = par::split_ranges(self.d, grain);
+        let bounds: Vec<usize> = blocks
+            .iter()
+            .skip(1)
+            .map(|rows| self.row_ptr[rows.start])
+            .collect();
+        par::for_each_split_mut(values, &bounds, |block, piece| {
+            let Some(rows) = blocks.get(block) else {
+                return;
+            };
+            let base = self.row_ptr[rows.start];
+            for i in rows.clone() {
+                let slots = self.slots(i);
+                f(i, &mut piece[slots.start - base..slots.end - base]);
+            }
+        });
+    }
+
+    /// The next level `D⁻¹ S D` on the pattern: `S[i,l]·b[l]/b[i]`, zero
+    /// row where `b[i]` vanishes.
+    fn diag_similarity(&self, s: &[f64], b: &[f64]) -> Summed {
+        let mut next = Summed::new(self.d, s.len());
+        for (i, &bi) in b.iter().enumerate() {
+            let slots = self.slots(i);
+            let inv_i = inv_or_zero(bi);
+            if inv_i == 0.0 {
+                next.s.resize(slots.end, 0.0);
+                next.r.push(0.0);
+                continue;
+            }
+            let s_row = &s[slots.clone()];
+            for (at, cols) in self.runs(i) {
+                let first = next.s.len();
+                let run = s_row[at].iter().zip(&b[cols.clone()]);
+                next.s.extend(run.map(|(&v, &bl)| v * inv_i * bl));
+                for (cl, &v) in next.c[cols].iter_mut().zip(&next.s[first..]) {
+                    *cl += v;
+                }
+            }
+            next.r.push(row_sum(&next.s[slots]));
         }
-    });
-    out
+        next
+    }
+}
+
+/// First index at or after `from` whose value satisfies `hit`, else
+/// `values.len()`. Tests eight values per step, so long runs of zeros or
+/// nonzeros cost a fraction of a branch per entry.
+#[inline]
+fn seek(values: &[f64], from: usize, hit: impl Fn(f64) -> bool) -> usize {
+    let mut l = from;
+    while l + 8 <= values.len() && !values[l..l + 8].iter().fold(false, |a, &v| a | hit(v)) {
+        l += 8;
+    }
+    while l < values.len() && !hit(values[l]) {
+        l += 1;
+    }
+    l
+}
+
+/// Sum of a row's slots, left to right.
+fn row_sum(row: &[f64]) -> f64 {
+    row.iter().fold(0.0, |sum, &v| sum + v)
+}
+
+/// Guarded reciprocal: the paper's `D⁻¹[i,i] = 0` convention where
+/// `b[i]` vanishes.
+#[inline]
+pub(crate) fn inv_or_zero(v: f64) -> f64 {
+    if v > 0.0 {
+        1.0 / v
+    } else {
+        0.0
+    }
 }
 
 /// Per-thread minimum row count for `d×d` row-parallel loops: keeps each
@@ -172,11 +315,30 @@ pub(crate) fn dense_row_grain(d: usize) -> usize {
     ((1 << 14) / d.max(1)).max(1)
 }
 
+/// One level's `S` on a [`DensePattern`] with its row and column sums,
+/// each added in row-major slot order: the order of a full `d×d` sweep,
+/// whose extra terms are exact zeros.
+struct Summed {
+    s: Vec<f64>,
+    r: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl Summed {
+    fn new(d: usize, nnz: usize) -> Self {
+        Self {
+            s: Vec::with_capacity(nnz),
+            r: Vec::with_capacity(d),
+            c: vec![0.0; d],
+        }
+    }
+}
+
 /// One refinement level of the forward pass (dense).
 #[derive(Debug, Clone)]
 pub(crate) struct BoundLevel {
-    /// `S^(j)`.
-    pub s: DenseMatrix,
+    /// `S^(j)` on the forward's [`DensePattern`], slot by slot.
+    pub s: Vec<f64>,
     /// Row sums of `S^(j)`.
     pub r: Vec<f64>,
     /// Column sums of `S^(j)`.
@@ -185,12 +347,21 @@ pub(crate) struct BoundLevel {
     pub b: Vec<f64>,
 }
 
+impl BoundLevel {
+    fn new(Summed { s, r, c }: Summed, alpha: f64) -> Self {
+        let b = combine_sums(&r, &c, alpha);
+        Self { s, r, c, b }
+    }
+}
+
 /// Retained dense forward state; feed to [`grad::backward_dense`].
 #[derive(Debug, Clone)]
 pub struct SpectralBoundForward {
     pub(crate) alpha: f64,
     /// The bound value `δ̄^(k)`.
     pub delta: f64,
+    /// Nonzero pattern of `W`, shared by every level.
+    pub(crate) pattern: DensePattern,
     pub(crate) levels: Vec<BoundLevel>,
 }
 
@@ -241,6 +412,19 @@ mod tests {
 
     fn bound() -> SpectralBound {
         SpectralBound::default()
+    }
+
+    /// Level `j`'s `S` as a dense matrix.
+    fn level_matrix(fwd: &SpectralBoundForward, j: usize) -> DenseMatrix {
+        let p = &fwd.pattern;
+        let mut m = DenseMatrix::zeros(p.d, p.d);
+        for i in 0..p.d {
+            let s_row = &fwd.levels[j].s[p.slots(i)];
+            for (at, cols) in p.runs(i) {
+                m.row_mut(i)[cols].copy_from_slice(&s_row[at]);
+            }
+        }
+        m
     }
 
     #[test]
@@ -333,9 +517,9 @@ mod tests {
         let w = DenseMatrix::from_rows(&[&[0.0, 0.9, 0.0], &[0.4, 0.0, 0.8], &[0.5, 0.3, 0.0]])
             .unwrap();
         let fwd = bound().forward_dense(&w).unwrap();
-        let t0 = fwd.levels[0].s.trace().unwrap();
-        for level in &fwd.levels[1..] {
-            assert!((level.s.trace().unwrap() - t0).abs() < 1e-9);
+        let t0 = level_matrix(&fwd, 0).trace().unwrap();
+        for j in 1..fwd.levels.len() {
+            assert!((level_matrix(&fwd, j).trace().unwrap() - t0).abs() < 1e-9);
         }
     }
 

@@ -58,8 +58,8 @@ impl std::error::Error for ConfigError {}
 ///
 /// The LSEM least-squares loss is an exact function of the second-moment
 /// matrix `G = XᵀX`, so full-batch training never needs the raw data after
-/// `G` is known — per-iteration cost drops from `O(n·d)` to `O(d²)` dense
-/// / `O(Σ nnz_col²)` sparse, independent of `n`.
+/// `G` is known — per-iteration cost becomes `O(d² + d·nnz(W))` dense /
+/// `O(Σ_slots nnz(col))` sparse, independent of `n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LossPath {
     /// Pick per backend: the dense solver uses the Gram specialization for

@@ -18,12 +18,17 @@
 //!
 //! **Masking (Lemma 5).** Only entries on the sparsity pattern of `W`
 //! survive the final Hadamard product, and every dense cross-term in the
-//! recursion is consumed element-wise by `S`-patterned products, so the
-//! sparse path propagates the gradient *only on the pattern* — `O(k·nnz)`
-//! rather than `O(k·d²)` — and is exact (verified against the dense path
-//! and finite differences in the tests below).
+//! recursion is consumed element-wise by `S`-patterned products, so both
+//! paths propagate the gradient *only on the pattern* — `O(k·nnz)` rather
+//! than `O(k·d²)` — and are exact (verified against each other and finite
+//! differences in the tests below). The dense path keeps the arithmetic
+//! and summation order of a full `d×d` sweep, so its gradient equals that
+//! sweep's (DESIGN.md §2.1); the sparse path orders its sums differently
+//! and agrees to rounding.
 
-use crate::bound::{dense_row_grain, SparseBoundForward, SpectralBoundForward, POW_EPS};
+use crate::bound::{
+    dense_row_grain, inv_or_zero, SparseBoundForward, SpectralBoundForward, POW_EPS,
+};
 use least_linalg::vecops::powf_floored;
 use least_linalg::{par, CsrMatrix, DenseMatrix};
 
@@ -56,85 +61,105 @@ fn xy(r: &[f64], c: &[f64], alpha: f64) -> (Vec<f64>, Vec<f64>) {
     (x, y)
 }
 
-/// Guarded reciprocal matching the forward's `D⁻¹[i,i] = 0` convention.
-#[inline]
-fn inv_or_zero(v: f64) -> f64 {
-    if v > 0.0 {
-        1.0 / v
-    } else {
-        0.0
-    }
-}
-
-/// Dense backward pass: `∇_W δ̄^(k)` given the retained forward state.
+/// Dense backward pass: `∇_W δ̄^(k)` given the retained forward state
+/// of the same `w`.
+///
+/// `G` is propagated only on the forward's pattern (the nonzeros of `W`):
+/// it is consumed only through `G ∘ S` and `2·G ∘ W`, both zero off it.
+/// Each entry uses the arithmetic of a full `d×d` sweep, and the column
+/// scatter for `z` groups its partial sums over the same row blocks, so
+/// the result equals the full computation exactly (zero entries up to
+/// their sign) at any thread count, in `O(d² + k·(d + nnz))` time.
 pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatrix {
     let levels = &fwd.levels;
+    let pattern = &fwd.pattern;
     let k = levels.len() - 1;
-    let d = w.rows();
+    let d = pattern.d;
     let alpha = fwd.alpha;
 
-    // Lemma 3: top-level gradient G[i,l] = x[i] + y[l] (row-parallel).
+    // Lemma 3: top-level gradient G[i,l] = x[i] + y[l].
     let (xk, yk) = xy(&levels[k].r, &levels[k].c, alpha);
-    let grain = dense_row_grain(d);
-    let mut g = DenseMatrix::zeros(d, d);
-    par::for_each_row_mut(g.as_mut_slice(), d, grain, |i, row| {
-        for (o, &yl) in row.iter_mut().zip(&yk) {
-            *o = xk[i] + yl;
+    let mut g = vec![0.0; pattern.nnz()];
+    pattern.for_each_row_mut(&mut g, |i, g_row| {
+        for (at, cols) in pattern.runs(i) {
+            for (o, &yl) in g_row[at].iter_mut().zip(&yk[cols]) {
+                *o = xk[i] + yl;
+            }
         }
     });
 
     // Lemmas 4–5, descending levels.
+    let grain = dense_row_grain(d);
     for j in (1..=k).rev() {
         let level = &levels[j - 1];
         let b = &level.b;
         // z[m] = Σ_p G[p,m]·S[p,m]/b[p]  −  Σ_q G[m,q]·S[m,q]·b[q] / b[m]².
-        // The first sum scatters across columns: each row block accumulates
-        // a private vector, combined in block order (deterministic).
-        let mut z = par::accumulate_ranges(d, grain, d, |rows| {
+        // One sweep of the pattern feeds both sums. The first scatters
+        // across columns: each row block accumulates a private vector,
+        // combined in block order (deterministic); rows with b[p] = 0 add
+        // exact zeros. The second is a per-row sum, applied afterwards.
+        let partials = par::map_ranges(d, grain, |rows| {
             let mut local = vec![0.0; d];
+            let mut row_terms = Vec::with_capacity(rows.len());
             for p in rows {
                 let inv_bp = inv_or_zero(b[p]);
-                if inv_bp == 0.0 {
-                    continue;
+                let slots = pattern.slots(p);
+                let (g_row, s_row) = (&g[slots.clone()], &level.s[slots]);
+                let mut row_term = 0.0;
+                for (at, cols) in pattern.runs(p) {
+                    let run = g_row[at.clone()].iter().zip(&s_row[at]);
+                    for ((&gv, &sv), (zq, &bq)) in
+                        run.zip(local[cols.clone()].iter_mut().zip(&b[cols]))
+                    {
+                        let gs = gv * sv;
+                        *zq += gs * inv_bp;
+                        row_term += gs * bq;
+                    }
                 }
-                for ((zq, &gv), &sv) in local.iter_mut().zip(g.row(p)).zip(level.s.row(p)) {
-                    *zq += gv * sv * inv_bp;
-                }
+                row_terms.push(row_term);
             }
-            local
+            (local, row_terms)
         });
-        // The second sum touches only z[m] — row-disjoint.
-        par::for_each_row_mut(&mut z, 1, grain, |m, zm| {
-            let inv_bm2 = inv_or_zero(b[m] * b[m]);
-            if inv_bm2 == 0.0 {
-                return;
+        let mut z = vec![0.0; d];
+        let mut row_terms = Vec::with_capacity(d);
+        for (local, terms) in partials {
+            for (zq, v) in z.iter_mut().zip(local) {
+                *zq += v;
             }
-            let row_term: f64 = g
-                .row(m)
-                .iter()
-                .zip(level.s.row(m))
-                .zip(b)
-                .map(|((&gv, &sv), &bq)| gv * sv * bq)
-                .sum();
-            zm[0] -= row_term * inv_bm2;
-        });
+            row_terms.extend(terms);
+        }
+        for ((zm, &bm), row_term) in z.iter_mut().zip(b).zip(row_terms) {
+            let inv_bm2 = inv_or_zero(bm * bm);
+            if inv_bm2 != 0.0 {
+                *zm -= row_term * inv_bm2;
+            }
+        }
         let (x, y) = xy(&level.r, &level.c, alpha);
-        // G_new[i,l] = G[i,l]·b[l]/b[i] + x[i]z[i] + y[l]z[l] (row-parallel).
-        let mut g_new = DenseMatrix::zeros(d, d);
-        par::for_each_row_mut(g_new.as_mut_slice(), d, grain, |i, out_row| {
+        // G_new[i,l] = G[i,l]·b[l]/b[i] + x[i]z[i] + y[l]z[l].
+        pattern.for_each_row_mut(&mut g, |i, g_row| {
             let inv_bi = inv_or_zero(b[i]);
             let xi_zi = x[i] * z[i];
-            let g_row = g.row(i);
-            for (l, o) in out_row.iter_mut().enumerate() {
-                *o = g_row[l] * inv_bi * b[l] + xi_zi + y[l] * z[l];
+            for (at, cols) in pattern.runs(i) {
+                let coeffs = b[cols.clone()].iter().zip(&y[cols.clone()]).zip(&z[cols]);
+                for (gv, ((&bl, &yl), &zl)) in g_row[at].iter_mut().zip(coeffs) {
+                    *gv = *gv * inv_bi * bl + xi_zi + yl * zl;
+                }
             }
         });
-        g = g_new;
     }
 
     // ∇_W = 2·G ∘ W.
-    let mut out = g.hadamard(w).expect("shapes equal by construction");
-    out.scale_inplace(2.0);
+    let mut out = DenseMatrix::zeros(d, d);
+    for i in 0..d {
+        let g_row = &g[pattern.slots(i)];
+        let (w_row, out_row) = (w.row(i), out.row_mut(i));
+        for (at, cols) in pattern.runs(i) {
+            let run = out_row[cols.clone()].iter_mut().zip(&w_row[cols]);
+            for ((o, &wv), &gv) in run.zip(&g_row[at]) {
+                *o = gv * wv * 2.0;
+            }
+        }
+    }
     out
 }
 

@@ -3,7 +3,10 @@
 //!
 //! * **Gram path** (full batch): with `G = XᵀX` precomputed once,
 //!   `∇ = (2/n)·G·(W − I)` and the loss needs only inner products — no
-//!   `n`-sized work per iteration. Used by the dense solver when `B = n`.
+//!   `n`-sized work per iteration. Used by the dense solver when `B = n`;
+//!   `G·W` is gathered one column of `G` per nonzero of `W`, so an
+//!   iteration costs `O(d² + d·nnz(W))` and matches the row-by-row
+//!   product bit for bit (DESIGN.md §2.1).
 //! * **Residual path** (mini-batch dense): `R = X_B W − X_B`,
 //!   `∇ = (2/B)·X_BᵀR`.
 //! * **Sparse-support path**: residual scatter plus per-slot dot products,
@@ -15,12 +18,15 @@
 
 use least_data::SufficientStats;
 use least_linalg::{par, CsrMatrix, DenseMatrix, LinalgError, Result};
+use std::sync::OnceLock;
 
 /// Full-batch Gram-matrix loss state for a fixed dataset.
 #[derive(Debug, Clone)]
 pub struct GramLoss {
     /// `G = XᵀX`.
     gram: DenseMatrix,
+    /// `Gᵀ` when it differs from `G`; see [`GramLoss::gram_columns`].
+    gram_t: OnceLock<Option<DenseMatrix>>,
     /// `tr(G)`, cached.
     trace: f64,
     /// Sample count `n`.
@@ -36,6 +42,7 @@ impl GramLoss {
         let trace = gram.trace()?;
         Ok(Self {
             gram,
+            gram_t: OnceLock::new(),
             trace,
             n: x.rows(),
             lambda,
@@ -56,49 +63,115 @@ impl GramLoss {
         let trace = gram.trace()?;
         Ok(Self {
             gram,
+            gram_t: OnceLock::new(),
             trace,
             n,
             lambda,
         })
     }
 
+    /// The matrix whose row `r` is column `r` of `G`, read by the dense
+    /// gather: `G` itself when it is exactly symmetric (`XᵀX` always is),
+    /// else `Gᵀ` (centering rounds `G[i,j]` and `G[j,i]` apart), built on
+    /// first use.
+    fn gram_columns(&self) -> &DenseMatrix {
+        self.gram_t
+            .get_or_init(|| {
+                let g = &self.gram;
+                let d = g.rows();
+                let symmetric = (0..d).all(|i| (0..i).all(|j| g[(i, j)] == g[(j, i)]));
+                (!symmetric).then(|| g.transpose())
+            })
+            .as_ref()
+            .unwrap_or(&self.gram)
+    }
+
     /// Loss and gradient at `W`. Returns `(smooth + λ‖W‖₁, ∇)` where the
     /// gradient includes the L1 subgradient.
+    ///
+    /// `‖X − XW‖² = tr(G) − 2⟨W, G⟩ + ⟨W, G·W⟩` (`G` symmetric) and
+    /// `∇ = (2/n)(G·W − G)`. Column `l` of `G·W` is `Σ_r W[r,l]·G[·,r]`:
+    /// one column of `G` per nonzero of `W`. The kernel gathers those
+    /// columns into the gradient buffer (as `(G·W)ᵀ`), then finishes every
+    /// entry in one in-place transposing pass — `O(d² + d·nnz(W))` time,
+    /// no `d×d` temporary besides the gradient itself.
+    ///
+    /// Every entry of `G·W` sums the same products `G[i,r]·W[r,l]` in the
+    /// same (ascending `r`) order as the row-by-row product `G.matmul(W)`,
+    /// and the inner products run in row-major order, so the value and
+    /// every gradient entry equal that formulation's exactly, at any
+    /// thread count (only the gather is parallel, over disjoint rows).
     pub fn value_and_grad(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)> {
-        let d = w.rows();
-        if self.gram.rows() != d {
+        let d = self.gram.rows();
+        if w.shape() != (d, d) {
             return Err(LinalgError::ShapeMismatch {
                 found: w.shape(),
                 expected: self.gram.shape(),
             });
         }
-        let n = self.n as f64;
-        // m = G·W; then ‖X − XW‖² = tr(G) − 2⟨W, G⟩ + ⟨W, G·W⟩ (G symmetric).
-        let m = self.gram.matmul(w)?;
-        let wg: f64 = w
-            .as_slice()
-            .iter()
-            .zip(self.gram.as_slice())
-            .map(|(&a, &b)| a * b)
-            .sum();
-        let wm: f64 = w
-            .as_slice()
-            .iter()
-            .zip(m.as_slice())
-            .map(|(&a, &b)| a * b)
-            .sum();
-        let smooth = (self.trace - 2.0 * wg + wm) / n;
-        let mut grad = m.sub(&self.gram)?;
-        grad.scale_inplace(2.0 / n);
-        add_l1_subgradient(&mut grad, w, self.lambda);
-        Ok((smooth + self.lambda * w.l1_norm(), grad))
+        let (w, g) = (w.as_slice(), self.gram.as_slice());
+        let g_cols = self.gram_columns().as_slice();
+
+        // ⟨W, G⟩ and ‖W‖₁ over the nonzeros of W, in row-major order.
+        let (mut wg, mut l1, mut nnz) = (0.0, 0.0, 0);
+        for (&v, &gv) in w.iter().zip(g) {
+            if v != 0.0 {
+                wg += v * gv;
+                l1 += v.abs();
+                nnz += 1;
+            }
+        }
+
+        // Row l of `prod` = column l of G·W = Σ_r W[r,l]·G[·,r], r
+        // ascending. Rows are disjoint; threads are spawned only for enough
+        // multiply-adds (d per nonzero).
+        let mut grad = DenseMatrix::zeros(d, d);
+        let grain = GRAM_PAR_MADDS.div_ceil(nnz.max(1));
+        par::for_each_row_mut(grad.as_mut_slice(), d, grain, |l, out| {
+            for (r, g_col) in g_cols.chunks_exact(d).enumerate() {
+                let v = w[r * d + l];
+                if v != 0.0 {
+                    for (o, &gv) in out.iter_mut().zip(g_col) {
+                        *o += v * gv;
+                    }
+                }
+            }
+        });
+        let prod = grad.as_mut_slice();
+
+        // ⟨W, G·W⟩ in row-major order; (G·W)[i,l] sits at prod[l·d + i].
+        let mut wm = 0.0;
+        for (i, w_row) in w.chunks_exact(d.max(1)).enumerate() {
+            for (l, &v) in w_row.iter().enumerate() {
+                if v != 0.0 {
+                    wm += v * prod[l * d + i];
+                }
+            }
+        }
+
+        // Transpose and finish in place: ∇ = (2/n)(G·W − G) + λ·sign(W).
+        let scale = 2.0 / self.n as f64;
+        let finish = |m: f64, at: usize| (m - g[at]) * scale + self.lambda * sign(w[at]);
+        for i in 0..d {
+            let ii = i * d + i;
+            prod[ii] = finish(prod[ii], ii);
+            for j in i + 1..d {
+                let (ij, ji) = (i * d + j, j * d + i);
+                let (m_ij, m_ji) = (prod[ji], prod[ij]);
+                prod[ij] = finish(m_ij, ij);
+                prod[ji] = finish(m_ji, ji);
+            }
+        }
+
+        let smooth = (self.trace - 2.0 * wg + wm) / self.n as f64;
+        Ok((smooth + self.lambda * l1, grad))
     }
 
     /// Loss and support-restricted gradient at a CSR iterate — the sparse
     /// backend's Gram path. For each stored slot `(j, l)`,
     /// `(G·W)[j,l] = Σ_m G[j,m]·W[m,l]` walks column `l` of `W`, so the
-    /// cost is `O(Σ_slots nnz(col))` — independent of `n`, and far below
-    /// the dense `O(d²·nnz)` as long as the support is sparse.
+    /// cost is `O(Σ_slots nnz(col))` — independent of `n`, with no `d×d`
+    /// buffer beyond `G` (the dense path's is `O(d² + d·nnz)`).
     ///
     /// Parallelized over the CSR row blocks (each slot's gradient is
     /// computed independently, so gradients are bit-identical at any
@@ -164,6 +237,9 @@ impl GramLoss {
 
 /// Minimum CSR rows per worker in the sparse Gram-loss path.
 const GRAM_SPARSE_ROW_GRAIN: usize = 16;
+
+/// Minimum multiply-adds per worker in the dense Gram-loss gather.
+const GRAM_PAR_MADDS: usize = 1 << 20;
 
 /// Mini-batch dense loss: `R = X_B·W − X_B`, `∇ = (2/B)·X_BᵀR + λ·sign`.
 pub fn batch_value_and_grad(
@@ -375,6 +451,20 @@ mod tests {
                 "({i},{j}): dense {} sparse {g}",
                 gd[(i, j)]
             );
+        }
+    }
+
+    #[test]
+    fn gram_rejects_any_iterate_but_d_by_d() {
+        let x = random_data(10, 4, 221);
+        let gram = GramLoss::new(&x, 0.1).unwrap();
+        for shape in [(4, 3), (4, 5), (3, 4), (5, 5)] {
+            match gram.value_and_grad(&DenseMatrix::zeros(shape.0, shape.1)) {
+                Err(LinalgError::ShapeMismatch { found, expected }) => {
+                    assert_eq!((found, expected), (shape, (4, 4)));
+                }
+                other => panic!("{shape:?}: expected a shape mismatch, got {other:?}"),
+            }
         }
     }
 
