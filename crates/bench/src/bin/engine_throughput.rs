@@ -18,7 +18,9 @@
 //! inner iteration of each round: round 0 trains the dense iterate,
 //! round 1 the θ-thresholded one. Beside the times it records the Gram
 //! loss's multiply-adds per iteration — `d³` for the full `G·W` product,
-//! `d·nnz(W)` for the gather at the nonzeros of `W` that the solver runs.
+//! `d·nnz(W)` for the nonzero products of the gather the solver runs (its
+//! 4 × 8 tiles also multiply the zeros of each 4-column block of `W` they
+//! visit, which adds time but no value).
 //!
 //! In a `--no-default-features` build the pool is compile-time 1, so both
 //! measurements coincide and `parallel_feature` records the fact.

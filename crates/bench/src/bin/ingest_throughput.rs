@@ -13,6 +13,12 @@
 //!    materializes an n-sized matrix — the point of the subsystem). The
 //!    reported ratio should sit at ~1.0; the raw-data path at n = 10⁴ is
 //!    timed alongside for contrast.
+//! 3. **The Gram update alone at d = 256** — `PackedSym::rank_update` over
+//!    in-memory chunks, so CSV parsing does not hide the kernel (at the
+//!    file phase's d = 32 it does). Each encoding of the tiled kernel is
+//!    timed at pool width 1 and at the configured width, and reported as
+//!    seconds, multiply-adds (`rows · d(d+1)/2`, from the shape) and
+//!    GFLOP/s (two flops per multiply-add).
 //!
 //! Writes `BENCH_ingest.json` via the shared emitter (override the path
 //! with `LEAST_BENCH_OUT`).
@@ -25,7 +31,8 @@ use least_data::{
 };
 use least_graph::{erdos_renyi_dag, weighted_adjacency_dense, WeightRange};
 use least_ingest::{ingest_binary, ingest_csv, GramAccumulator, IngestConfig};
-use least_linalg::{DenseMatrix, Xoshiro256pp};
+use least_linalg::tile::Encoding;
+use least_linalg::{par, DenseMatrix, PackedSym, Xoshiro256pp};
 use std::path::PathBuf;
 
 /// Best-of repetitions per timed measurement.
@@ -36,6 +43,11 @@ const REPS: usize = 3;
 const ITERS: usize = 200;
 /// Rows per synthetic chunk streamed through the accumulator.
 const CHUNK_ROWS: usize = 20_000;
+/// Order of the Gram-update case: wide enough that the kernel, not
+/// parsing, is the cost.
+const UPDATE_D: usize = 256;
+/// Chunks of `IngestConfig::default().chunk_rows` rows per timed update.
+const UPDATE_CHUNKS: usize = 8;
 
 fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("least_ingest_bench_{}_{name}", std::process::id()))
@@ -79,6 +91,19 @@ fn fixed_work_config(d: usize) -> LeastConfig {
     cfg.adam.learning_rate = 0.01;
     let _ = d;
     cfg
+}
+
+/// Best-of-`REPS` seconds to fold `chunks` copies of `chunk` into a fresh
+/// order-`d` accumulator in `encoding`.
+fn time_gram_update(chunk: &DenseMatrix, chunks: usize, encoding: Encoding) -> f64 {
+    time_best_of(REPS, || {
+        let mut acc = PackedSym::zeros(chunk.cols());
+        for _ in 0..chunks {
+            acc.rank_update_with(chunk, encoding).expect("rank update");
+        }
+        acc
+    })
+    .as_secs_f64()
 }
 
 fn main() {
@@ -174,6 +199,57 @@ fn main() {
         fmt(ratio)
     );
 
+    // ── Phase 3: the Gram update alone at d = 256 ──────────────────────
+    let chunk_rows = IngestConfig::default().chunk_rows;
+    let mut rng = Xoshiro256pp::new(0x6A11);
+    let chunk = DenseMatrix::from_fn(chunk_rows, UPDATE_D, |_, _| rng.gaussian());
+    let update_rows = chunk_rows * UPDATE_CHUNKS;
+    let update_madds = update_rows * UPDATE_D * (UPDATE_D + 1) / 2;
+    heading(&format!(
+        "Gram update: d={UPDATE_D}, {UPDATE_CHUNKS} chunks of {chunk_rows} rows, \
+         {update_madds} multiply-adds, best of {REPS}"
+    ));
+    let mut widths = vec![1, par::max_threads()];
+    widths.dedup();
+    let mut update_table = Table::new(&["encoding", "threads", "seconds", "GFLOP/s"]);
+    let mut update_runs = Vec::new();
+    for encoding in Encoding::ALL {
+        if !encoding.is_available() {
+            println!("{encoding:?}: not detected on this CPU, skipped");
+            continue;
+        }
+        for &threads in &widths {
+            par::set_thread_override(Some(threads));
+            let secs = time_gram_update(&chunk, UPDATE_CHUNKS, encoding);
+            par::set_thread_override(None);
+            let gflops = 2.0 * update_madds as f64 / secs / 1e9;
+            update_table.row(vec![
+                format!("{encoding:?}"),
+                threads.to_string(),
+                fmt(secs),
+                fmt(gflops),
+            ]);
+            update_runs.push(Json::obj(vec![
+                ("encoding", Json::Str(format!("{encoding:?}"))),
+                ("threads", Json::Int(threads as i64)),
+                ("seconds", Json::Num(secs)),
+                ("gflops", Json::Num(gflops)),
+            ]));
+        }
+    }
+    update_table.print();
+    let gram_update = Json::obj(vec![
+        ("d", Json::Int(UPDATE_D as i64)),
+        ("rows", Json::Int(update_rows as i64)),
+        ("chunk_rows", Json::Int(chunk_rows as i64)),
+        ("madds", Json::Int(update_madds as i64)),
+        (
+            "detected_encoding",
+            Json::Str(format!("{:?}", Encoding::detect())),
+        ),
+        ("runs", Json::Arr(update_runs)),
+    ]);
+
     least_bench::emit_report(
         "ingest_throughput",
         "BENCH_ingest.json",
@@ -196,6 +272,7 @@ fn main() {
             ("gram_per_iter_seconds_n_big", Json::Num(per_iter_big)),
             ("gram_per_iter_ratio_big_over_small", Json::Num(ratio)),
             ("data_per_iter_seconds_n_small", Json::Num(per_iter_data)),
+            ("gram_update", gram_update),
         ],
     );
 }

@@ -4,9 +4,11 @@
 //! * **Gram path** (full batch): with `G = XᵀX` precomputed once,
 //!   `∇ = (2/n)·G·(W − I)` and the loss needs only inner products — no
 //!   `n`-sized work per iteration. Used by the dense solver when `B = n`;
-//!   `G·W` is gathered one column of `G` per nonzero of `W`, so an
-//!   iteration costs `O(d² + d·nnz(W))` and matches the row-by-row
-//!   product bit for bit (DESIGN.md §2.1).
+//!   `G·W` is gathered by the register-tiled `Wᵀ·(columns of G)` kernel
+//!   (`least_linalg::tile`), which visits per block of 4 columns of `W`
+//!   only the rows with a nonzero, so an iteration costs
+//!   `O(d² + d·nnz(W))` and matches the row-by-row product bit for bit
+//!   (DESIGN.md §2.1).
 //! * **Residual path** (mini-batch dense): `R = X_B W − X_B`,
 //!   `∇ = (2/B)·X_BᵀR`.
 //! * **Sparse-support path**: residual scatter plus per-slot dot products,
@@ -17,6 +19,7 @@
 //! what TensorFlow autodiff gives the paper's implementation.
 
 use least_data::SufficientStats;
+use least_linalg::tile::{at_b_accumulate, Encoding};
 use least_linalg::{par, CsrMatrix, DenseMatrix, LinalgError, Result};
 use std::sync::OnceLock;
 
@@ -36,9 +39,10 @@ pub struct GramLoss {
 }
 
 impl GramLoss {
-    /// Precompute `XᵀX` (`O(n·d²)`, once).
+    /// Precompute `XᵀX` (`O(n·d²)`, once). Fails on a non-finite `XᵀX`.
     pub fn new(x: &DenseMatrix, lambda: f64) -> Result<Self> {
         let gram = x.t_matmul(x)?;
+        check_finite(&gram)?;
         let trace = gram.trace()?;
         Ok(Self {
             gram,
@@ -51,7 +55,8 @@ impl GramLoss {
 
     /// Adopt a precomputed second-moment summary (the out-of-core
     /// ingestion product, DESIGN.md §9): no `n`-sized work ever happens —
-    /// not even once.
+    /// not even once. Fails on a non-finite `G`: the tiled gather is exact
+    /// only for finite inputs (`least_linalg::tile`).
     pub fn from_stats(stats: &SufficientStats, lambda: f64) -> Result<Self> {
         let n = usize::try_from(stats.n).map_err(|_| {
             LinalgError::InvalidArgument(format!(
@@ -59,6 +64,7 @@ impl GramLoss {
                 stats.n
             ))
         })?;
+        check_finite(&stats.gram)?;
         let gram = stats.gram.clone();
         let trace = gram.trace()?;
         Ok(Self {
@@ -91,16 +97,20 @@ impl GramLoss {
     ///
     /// `‖X − XW‖² = tr(G) − 2⟨W, G⟩ + ⟨W, G·W⟩` (`G` symmetric) and
     /// `∇ = (2/n)(G·W − G)`. Column `l` of `G·W` is `Σ_r W[r,l]·G[·,r]`:
-    /// one column of `G` per nonzero of `W`. The kernel gathers those
-    /// columns into the gradient buffer (as `(G·W)ᵀ`), then finishes every
-    /// entry in one in-place transposing pass — `O(d² + d·nnz(W))` time,
-    /// no `d×d` temporary besides the gradient itself.
+    /// one column of `G` per nonzero of `W`. The tiled kernel
+    /// `least_linalg::tile::at_b_accumulate` gathers those columns into
+    /// the gradient buffer (as `(G·W)ᵀ = Wᵀ·(columns of G)`), then one
+    /// in-place transposing pass finishes every entry —
+    /// `O(d² + d·nnz(W))` time, no `d×d` temporary besides the gradient
+    /// itself.
     ///
     /// Every entry of `G·W` sums the same products `G[i,r]·W[r,l]` in the
     /// same (ascending `r`) order as the row-by-row product `G.matmul(W)`,
-    /// and the inner products run in row-major order, so the value and
-    /// every gradient entry equal that formulation's exactly, at any
-    /// thread count (only the gather is parallel, over disjoint rows).
+    /// plus exact `±0` terms where a tile covers a zero of `W` (`G` is
+    /// finite, checked at construction), and the inner products run in
+    /// row-major order, so the value and every gradient entry equal that
+    /// formulation's exactly, at any thread count and in either encoding
+    /// of the kernel (only the gather is parallel, over disjoint rows).
     pub fn value_and_grad(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)> {
         let d = self.gram.rows();
         if w.shape() != (d, d) {
@@ -109,34 +119,20 @@ impl GramLoss {
                 expected: self.gram.shape(),
             });
         }
+        // Row l of `grad` = column l of G·W = Σ_r W[r,l]·G[·,r], r
+        // ascending: the tiled `Wᵀ·(columns of G)`.
+        let mut grad = DenseMatrix::zeros(d, d);
+        at_b_accumulate(w, self.gram_columns(), &mut grad, Encoding::detect())?;
         let (w, g) = (w.as_slice(), self.gram.as_slice());
-        let g_cols = self.gram_columns().as_slice();
 
         // ⟨W, G⟩ and ‖W‖₁ over the nonzeros of W, in row-major order.
-        let (mut wg, mut l1, mut nnz) = (0.0, 0.0, 0);
+        let (mut wg, mut l1) = (0.0, 0.0);
         for (&v, &gv) in w.iter().zip(g) {
             if v != 0.0 {
                 wg += v * gv;
                 l1 += v.abs();
-                nnz += 1;
             }
         }
-
-        // Row l of `prod` = column l of G·W = Σ_r W[r,l]·G[·,r], r
-        // ascending. Rows are disjoint; threads are spawned only for enough
-        // multiply-adds (d per nonzero).
-        let mut grad = DenseMatrix::zeros(d, d);
-        let grain = GRAM_PAR_MADDS.div_ceil(nnz.max(1));
-        par::for_each_row_mut(grad.as_mut_slice(), d, grain, |l, out| {
-            for (r, g_col) in g_cols.chunks_exact(d).enumerate() {
-                let v = w[r * d + l];
-                if v != 0.0 {
-                    for (o, &gv) in out.iter_mut().zip(g_col) {
-                        *o += v * gv;
-                    }
-                }
-            }
-        });
         let prod = grad.as_mut_slice();
 
         // ⟨W, G·W⟩ in row-major order; (G·W)[i,l] sits at prod[l·d + i].
@@ -235,11 +231,21 @@ impl GramLoss {
     }
 }
 
+/// A typed error naming the first non-finite entry of `gram`, if any.
+fn check_finite(gram: &DenseMatrix) -> Result<()> {
+    match gram.as_slice().iter().position(|v| !v.is_finite()) {
+        Some(at) => Err(LinalgError::InvalidArgument(format!(
+            "Gram matrix entry ({}, {}) is {}, not finite",
+            at / gram.cols(),
+            at % gram.cols(),
+            gram.as_slice()[at]
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Minimum CSR rows per worker in the sparse Gram-loss path.
 const GRAM_SPARSE_ROW_GRAIN: usize = 16;
-
-/// Minimum multiply-adds per worker in the dense Gram-loss gather.
-const GRAM_PAR_MADDS: usize = 1 << 20;
 
 /// Mini-batch dense loss: `R = X_B·W − X_B`, `∇ = (2/B)·X_BᵀR + λ·sign`.
 pub fn batch_value_and_grad(
@@ -416,6 +422,26 @@ mod tests {
         // Same t_matmul product on both sides: bit-identical.
         assert_eq!(v1.to_bits(), v2.to_bits());
         assert!(g1.approx_eq(&g2, 0.0));
+    }
+
+    #[test]
+    fn gram_loss_rejects_a_non_finite_gram() {
+        use least_data::{Dataset, Preprocess};
+        let x = random_data(20, 4, 222);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = x.clone();
+            data[(5, 1)] = bad;
+            assert!(GramLoss::new(&data, 0.1).is_err(), "{bad} in X");
+            let mut stats =
+                SufficientStats::from_dataset(&Dataset::new(x.clone()), Preprocess::Raw).unwrap();
+            stats.gram[(1, 2)] = bad;
+            match GramLoss::from_stats(&stats, 0.1) {
+                Err(LinalgError::InvalidArgument(msg)) => {
+                    assert!(msg.contains("(1, 2)"), "{bad}: {msg}");
+                }
+                other => panic!("{bad}: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

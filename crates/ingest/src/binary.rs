@@ -25,6 +25,8 @@ pub struct BinaryReader<R> {
     d: usize,
     /// Rows the header declares but the reader has not yet returned.
     remaining_rows: u64,
+    /// Rows returned so far.
+    rows_read: u64,
     /// Set once the checksum trailer has been verified.
     verified: bool,
 }
@@ -99,6 +101,7 @@ impl<R: Read> BinaryReader<R> {
             names,
             d,
             remaining_rows: n,
+            rows_read: 0,
             verified: false,
         })
     }
@@ -159,11 +162,22 @@ impl<R: Read> ChunkSource for BinaryReader<R> {
             .read_exact(&mut buf)
             .map_err(|_| truncated("row payload"))?;
         self.hasher.update(&buf);
-        self.remaining_rows -= rows as u64;
         let values: Vec<f64> = buf
             .chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
             .collect();
+        // Like the CSV reader, refuse NaN and ±inf: the statistics (and the
+        // exactness of the tiled Gram kernels) assume finite samples.
+        if let Some(at) = values.iter().position(|v| !v.is_finite()) {
+            return Err(LinalgError::InvalidArgument(format!(
+                "LEASTDAT row {}, column {}: {} is not finite",
+                self.rows_read + (at / self.d) as u64,
+                at % self.d,
+                values[at]
+            )));
+        }
+        self.remaining_rows -= rows as u64;
+        self.rows_read += rows as u64;
         // Validate the trailer eagerly on the final chunk so a caller that
         // stops at the row count still gets integrity checking.
         if self.remaining_rows == 0 {
@@ -276,6 +290,31 @@ mod tests {
             rows += chunk.rows();
         }
         assert_eq!(rows, 6);
+    }
+
+    #[test]
+    fn non_finite_samples_are_typed_errors_naming_row_and_column() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // The writer refuses non-finite values: patch one into a
+            // finite file and re-seal the checksum.
+            let (data, mut bytes) = sample_bytes(9, 3, 38);
+            let good = data.matrix()[(6, 2)].to_le_bytes();
+            let at = bytes.windows(8).position(|w| w == good).unwrap();
+            bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+            let sealed = bytes.len() - 8;
+            let mut hasher = Fnv1a64::new();
+            hasher.update(&bytes[..sealed]);
+            bytes[sealed..].copy_from_slice(&hasher.finish().to_le_bytes());
+            let mut r = BinaryReader::from_reader(Cursor::new(&bytes[..])).unwrap();
+            assert_eq!(r.next_chunk(4).unwrap().unwrap().rows(), 4);
+            match r.next_chunk(4) {
+                Err(LinalgError::InvalidArgument(msg)) => {
+                    assert!(msg.contains("row 6, column 2"), "{bad}: {msg}");
+                    assert!(msg.contains("not finite"), "{bad}: {msg}");
+                }
+                other => panic!("{bad}: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod power_iter;
 pub mod rng;
 pub mod serialize;
 pub mod sym;
+pub mod tile;
 pub mod trace_est;
 pub mod vecops;
 

@@ -6,6 +6,14 @@
 //! [`PackedSym::rank_update`] touches half the flops a general `t_matmul`
 //! would.
 //!
+//! ## The kernel
+//!
+//! The update runs the register-tiled `Aᵀ·B` micro-kernel of
+//! [`crate::tile`] over the packed triangle: `4 × 8` tiles of `G` whose
+//! rows all lie on or above the diagonal, with the diagonal strip and
+//! the edges in narrower tiles. Samples go through in blocks of 256 rows,
+//! so the block stays in L2 while every tile reads it.
+//!
 //! ## Determinism contract
 //!
 //! The ingestion layer chunks an `n`-row stream arbitrarily (chunk size is
@@ -18,19 +26,25 @@
 //!   no merged partial sums), so the pool size never regroups an
 //!   accumulation;
 //! * each output entry `G[j,l]` accumulates `x[s,j]·x[s,l]` strictly in
-//!   sample order `s`, directly into the running total — never into a
-//!   chunk-local temporary that is folded in later — so re-chunking the
-//!   stream never re-associates a sum.
+//!   sample order `s` into its running total (a tile holds the total
+//!   itself in a register across a sample block, never a partial sum
+//!   started from zero and folded in later), so re-chunking the stream
+//!   never re-associates a sum;
+//! * the tile's extra zero-lane products are exact no-ops on finite
+//!   samples, and both encodings round every product before adding it
+//!   ([`crate::tile`]).
 //!
 //! Result: `rank_update` over any chunking of the same row stream, at any
-//! thread count, is **bit-identical**. (Contrast with the reduction-style
-//! kernels documented in [`crate::par`], which are only deterministic at a
-//! fixed pool size.)
+//! thread count and in either encoding, is **bit-identical**. (Contrast
+//! with the reduction-style kernels documented in [`crate::par`], which
+//! are only deterministic at a fixed pool size.)
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::par;
+use crate::tile::{tile, Encoding, TILE_COLS, TILE_ROWS};
 use crate::Result;
+use std::ops::Range;
 
 /// Upper-triangular packed symmetric `d×d` accumulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +57,59 @@ pub struct PackedSym {
 
 /// Minimum packed entries per worker piece in [`PackedSym::rank_update`].
 const PACKED_GRAIN: usize = 1 << 12;
+
+/// Samples per pass over a piece's tiles in [`PackedSym::rank_update`]:
+/// 256 rows of the chunk stay in L2 while every tile reads them.
+const SAMPLE_BLOCK: usize = 256;
+
+/// Offset of row `j`'s first packed entry in an order-`d` triangle.
+#[inline]
+fn row_offset(d: usize, j: usize) -> usize {
+    j * (2 * d + 1 - j) / 2
+}
+
+/// `G[j,l] += Σ_s x[s,j]·x[s,l]` over the `m×d` row-major chunk `x`, for
+/// the packed rows `rows` that `out` holds from `G[rows.start, rows.start]`
+/// on. Sample blocks run in order and each tile runs its block's samples
+/// in order, so every entry adds its products in sample order.
+#[inline(always)]
+fn rank_update_rows(x: &[f64], m: usize, d: usize, rows: Range<usize>, out: &mut [f64]) {
+    let base = row_offset(d, rows.start);
+    let at = |j: usize, l: usize| row_offset(d, j) - base + (l - j);
+    let col = |l: usize| (&x[l..], d);
+    for s0 in (0..m).step_by(SAMPLE_BLOCK) {
+        let samples = s0..(s0 + SAMPLE_BLOCK).min(m);
+        let mut j = rows.start;
+        while j + TILE_ROWS <= rows.end {
+            // The diagonal strip: entries of rows j..j+3 left of column
+            // j+3, where the triangle is not yet 4 rows tall.
+            for r in j..j + TILE_ROWS - 1 {
+                for l in r..j + TILE_ROWS - 1 {
+                    tile::<1, 1>(out, [at(r, l)], col(r), col(l), samples.clone());
+                }
+            }
+            let first = j + TILE_ROWS - 1;
+            let full_end = d - (d - first) % TILE_COLS;
+            let tile_at = |l: usize| [at(j, l), at(j + 1, l), at(j + 2, l), at(j + 3, l)];
+            for l in (first..full_end).step_by(TILE_COLS) {
+                tile::<TILE_ROWS, TILE_COLS>(out, tile_at(l), col(j), col(l), samples.clone());
+            }
+            for l in full_end..d {
+                tile::<TILE_ROWS, 1>(out, tile_at(l), col(j), col(l), samples.clone());
+            }
+            j += TILE_ROWS;
+        }
+        for r in j..rows.end {
+            let full_end = d - (d - r) % TILE_COLS;
+            for l in (r..full_end).step_by(TILE_COLS) {
+                tile::<1, TILE_COLS>(out, [at(r, l)], col(r), col(l), samples.clone());
+            }
+            for l in full_end..d {
+                tile::<1, 1>(out, [at(r, l)], col(r), col(l), samples.clone());
+            }
+        }
+    }
+}
 
 impl PackedSym {
     /// Zero accumulator of order `d`.
@@ -67,7 +134,7 @@ impl PackedSym {
     /// Offset of row `j`'s first packed entry (`G[j,j]`).
     #[inline]
     fn row_offset(&self, j: usize) -> usize {
-        j * (2 * self.d + 1 - j) / 2
+        row_offset(self.d, j)
     }
 
     /// Entry `G[i,j]` (either triangle).
@@ -77,9 +144,15 @@ impl PackedSym {
     }
 
     /// `G += chunk ᵀ· chunk` for an `m×d` row chunk — the streaming syrk
-    /// update. Bit-identical across chunkings of the same row stream and
-    /// across thread counts (see the module docs).
+    /// update, in the encoding [`Encoding::detect`] picks. Bit-identical
+    /// across chunkings of the same row stream, thread counts and
+    /// encodings (see the module docs).
     pub fn rank_update(&mut self, chunk: &DenseMatrix) -> Result<()> {
+        self.rank_update_with(chunk, Encoding::detect())
+    }
+
+    /// [`PackedSym::rank_update`] in the given encoding.
+    pub fn rank_update_with(&mut self, chunk: &DenseMatrix, encoding: Encoding) -> Result<()> {
         if chunk.cols() != self.d {
             return Err(LinalgError::ShapeMismatch {
                 found: chunk.shape(),
@@ -87,13 +160,12 @@ impl PackedSym {
             });
         }
         let d = self.d;
-        let m = chunk.rows();
-        if m == 0 || d == 0 {
+        if chunk.rows() == 0 || d == 0 {
             return Ok(());
         }
-        // Row-aligned partition of the packed storage into at most
-        // `max_threads` pieces of roughly equal entry count (early rows are
-        // the long ones).
+        // Partition of the packed storage into at most `max_threads`
+        // pieces of roughly equal entry count (early rows are the long
+        // ones), split between whole tile rows.
         let total = self.data.len();
         let pieces = par::max_threads().min(total.div_ceil(PACKED_GRAIN)).max(1);
         let target = total.div_ceil(pieces);
@@ -102,30 +174,25 @@ impl PackedSym {
         let mut acc = 0usize;
         for j in 0..d {
             acc += d - j;
-            if acc >= target && j + 1 < d && bounds.len() + 1 < pieces {
-                bounds.push(self.row_offset(j + 1));
-                piece_rows.push(j + 1);
+            let next = j + 1;
+            if acc >= target
+                && next.is_multiple_of(TILE_ROWS)
+                && next < d
+                && bounds.len() + 1 < pieces
+            {
+                bounds.push(self.row_offset(next));
+                piece_rows.push(next);
                 acc = 0;
             }
         }
-        par::for_each_split_mut(&mut self.data, &bounds, |piece, slice| {
-            let mut j = piece_rows[piece];
-            let mut off = 0usize;
-            while off < slice.len() {
-                let len = d - j;
-                let row_acc = &mut slice[off..off + len];
-                for s in 0..m {
-                    let xr = &chunk.row(s)[j..];
-                    let xj = xr[0];
-                    if xj != 0.0 {
-                        for (a, &v) in row_acc.iter_mut().zip(xr) {
-                            *a += xj * v;
-                        }
-                    }
-                }
-                off += len;
-                j += 1;
-            }
+        piece_rows.push(d);
+        let x = chunk.as_slice();
+        par::for_each_split_mut(&mut self.data, &bounds, |piece, out| {
+            let rows = piece_rows[piece]..piece_rows[piece + 1];
+            encoding.run(
+                #[inline(always)]
+                || rank_update_rows(x, chunk.rows(), d, rows, out),
+            );
         });
         Ok(())
     }
