@@ -26,11 +26,12 @@
 //! measurements coincide and `parallel_feature` records the fact.
 
 use least_bench::report::{fmt, heading, Table};
-use least_bench::timing::{time_best_of, Json};
+use least_bench::timing::time_best_of;
 use least_core::{LeastConfig, LeastDense, LeastSparse};
 use least_data::{sample_lsem_sparse, Dataset, NoiseModel, Preprocess, SufficientStats};
 use least_graph::{erdos_renyi_dag, weighted_adjacency_sparse, WeightRange};
 use least_linalg::{par, Xoshiro256pp};
+use least_serve::json::JsonValue;
 
 /// Best-of repetitions per measurement.
 const REPS: usize = 3;
@@ -174,13 +175,13 @@ fn main() {
             fmt(parallel),
             fmt(speedup),
         ]);
-        entries.push(Json::obj(vec![
-            ("name", Json::Str(w.name.into())),
-            ("d", Json::Int(w.d as i64)),
-            ("inner_iters", Json::Int(w.cfg.max_inner as i64)),
-            ("serial_seconds", Json::Num(serial)),
-            ("parallel_seconds", Json::Num(parallel)),
-            ("speedup", Json::Num(speedup)),
+        entries.push(JsonValue::obj(vec![
+            ("name", JsonValue::Str(w.name.into())),
+            ("d", JsonValue::Num(w.d as f64)),
+            ("inner_iters", JsonValue::Num(w.cfg.max_inner as f64)),
+            ("serial_seconds", JsonValue::Num(serial)),
+            ("parallel_seconds", JsonValue::Num(parallel)),
+            ("speedup", JsonValue::Num(speedup)),
         ]));
     }
     table.print();
@@ -215,33 +216,33 @@ fn main() {
             full.to_string(),
             gathered.to_string(),
         ]);
-        rounds.push(Json::obj(vec![
-            ("round", Json::Int(r as i64)),
-            ("nnz", Json::Int(nnz[r] as i64)),
-            ("serial_ms_per_iter", Json::Num(serial[r] * 1e3)),
-            ("parallel_ms_per_iter", Json::Num(parallel[r] * 1e3)),
-            ("loss_madds_full_product", Json::Int(full as i64)),
-            ("loss_madds_gathered", Json::Int(gathered as i64)),
+        rounds.push(JsonValue::obj(vec![
+            ("round", JsonValue::Num(r as f64)),
+            ("nnz", JsonValue::Num(nnz[r] as f64)),
+            ("serial_ms_per_iter", JsonValue::Num(serial[r] * 1e3)),
+            ("parallel_ms_per_iter", JsonValue::Num(parallel[r] * 1e3)),
+            ("loss_madds_full_product", JsonValue::Num(full as f64)),
+            ("loss_madds_gathered", JsonValue::Num(gathered as f64)),
         ]));
     }
     table.print();
-    let thresholded_entry = Json::obj(vec![
-        ("name", Json::Str("dense_d200_thresholded".into())),
-        ("d", Json::Int(d as i64)),
-        ("theta", Json::Num(thresholded.cfg.theta)),
+    let thresholded_entry = JsonValue::obj(vec![
+        ("name", JsonValue::Str("dense_d200_thresholded".into())),
+        ("d", JsonValue::Num(d as f64)),
+        ("theta", JsonValue::Num(thresholded.cfg.theta)),
         (
             "inner_iters_per_round",
-            Json::Int(thresholded.cfg.max_inner as i64),
+            JsonValue::Num(thresholded.cfg.max_inner as f64),
         ),
-        ("rounds", Json::Arr(rounds)),
+        ("rounds", JsonValue::Arr(rounds)),
     ]);
 
     least_bench::emit_report(
         "engine_throughput",
         "BENCH_engine.json",
         vec![
-            ("reps_best_of", Json::Int(REPS as i64)),
-            ("workloads", Json::Arr(entries)),
+            ("reps_best_of", JsonValue::Num(REPS as f64)),
+            ("workloads", JsonValue::Arr(entries)),
             ("thresholded", thresholded_entry),
         ],
     );

@@ -1,6 +1,6 @@
 //! Out-of-core ingestion + Gram-path training benchmark.
 //!
-//! Two claims are measured (DESIGN.md §9):
+//! Three claims are measured (DESIGN.md §9):
 //!
 //! 1. **Ingestion throughput** — streaming a generated LSEM dataset from
 //!    disk (CSV and `LEASTDAT` binary) into `SufficientStats`, reported
@@ -11,8 +11,9 @@
 //!    over n = 10⁴ versus n = 10⁶ rows (the big accumulation streams
 //!    synthetic chunks through `GramAccumulator`, so the benchmark never
 //!    materializes an n-sized matrix — the point of the subsystem). The
-//!    reported ratio should sit at ~1.0; the raw-data path at n = 10⁴ is
-//!    timed alongside for contrast.
+//!    reported ratio should sit at ~1.0. For contrast, one call of the
+//!    residual loss (`loss::batch_value_and_grad`, O(n·d²)) and of the
+//!    Gram loss is timed on the same `W` and n = 10⁴ rows.
 //! 3. **The Gram update alone at d = 256** — `PackedSym::rank_update` over
 //!    in-memory chunks, so CSV parsing does not hide the kernel (at the
 //!    file phase's d = 32 it does). Each encoding of the tiled kernel is
@@ -24,8 +25,9 @@
 //! with `LEAST_BENCH_OUT`).
 
 use least_bench::report::{fmt, heading, Table};
-use least_bench::timing::{time_best_of, Json};
-use least_core::{LeastConfig, LeastDense, LossPath};
+use least_bench::timing::time_best_of;
+use least_core::loss::batch_value_and_grad;
+use least_core::{GramLoss, LeastConfig, LeastDense};
 use least_data::{
     export_binary, export_csv, sample_lsem, Dataset, NoiseModel, Preprocess, SufficientStats,
 };
@@ -33,6 +35,7 @@ use least_graph::{erdos_renyi_dag, weighted_adjacency_dense, WeightRange};
 use least_ingest::{ingest_binary, ingest_csv, GramAccumulator, IngestConfig};
 use least_linalg::tile::Encoding;
 use least_linalg::{par, DenseMatrix, PackedSym, Xoshiro256pp};
+use least_serve::json::JsonValue;
 use std::path::PathBuf;
 
 /// Best-of repetitions per timed measurement.
@@ -174,16 +177,21 @@ fn main() {
     let per_iter_big = big_s / ITERS as f64;
     let ratio = per_iter_big / per_iter_small;
 
-    // Contrast: the raw-data path at n_small pays O(n·d) per iteration.
-    let mut data_cfg = cfg;
-    data_cfg.loss_path = LossPath::Data;
-    let data_solver = LeastDense::new(data_cfg).expect("config");
+    // Contrast, per loss call on the same W and n_small rows: the residual
+    // loss pays O(n·d²) per call, the Gram loss O(d² + d·nnz(W)).
     let mut rng = Xoshiro256pp::new(0xDA7A);
-    let small_data = Dataset::new(
-        sample_lsem(&w, n_small, NoiseModel::standard_gaussian(), &mut rng).expect("sample"),
-    );
-    let data_s = time_best_of(REPS, || data_solver.fit(&small_data).expect("fit")).as_secs_f64();
-    let per_iter_data = data_s / ITERS as f64;
+    let small_data =
+        sample_lsem(&w, n_small, NoiseModel::standard_gaussian(), &mut rng).expect("sample");
+    let gram_loss = GramLoss::new(&small_data, cfg.lambda).expect("gram");
+    let per_call = |f: &dyn Fn()| {
+        time_best_of(REPS, || (0..ITERS).for_each(|_| f())).as_secs_f64() / ITERS as f64
+    };
+    let residual_call_s = per_call(&|| {
+        std::hint::black_box(batch_value_and_grad(&small_data, &w, cfg.lambda).expect("loss"));
+    });
+    let gram_call_s = per_call(&|| {
+        std::hint::black_box(gram_loss.value_and_grad(&w).expect("loss"));
+    });
 
     let mut table = Table::new(&["path", "n", "s/iter"]);
     table.row(vec![
@@ -192,8 +200,15 @@ fn main() {
         fmt(per_iter_small),
     ]);
     table.row(vec!["gram".into(), n_big.to_string(), fmt(per_iter_big)]);
-    table.row(vec!["data".into(), n_small.to_string(), fmt(per_iter_data)]);
     table.print();
+    let mut call_table = Table::new(&["loss", "n", "s/call"]);
+    call_table.row(vec!["gram".into(), n_small.to_string(), fmt(gram_call_s)]);
+    call_table.row(vec![
+        "residual".into(),
+        n_small.to_string(),
+        fmt(residual_call_s),
+    ]);
+    call_table.print();
     println!(
         "\ngram per-iteration ratio (n={n_big} / n={n_small}): {} — target ≤ 1.25",
         fmt(ratio)
@@ -229,49 +244,62 @@ fn main() {
                 fmt(secs),
                 fmt(gflops),
             ]);
-            update_runs.push(Json::obj(vec![
-                ("encoding", Json::Str(format!("{encoding:?}"))),
-                ("threads", Json::Int(threads as i64)),
-                ("seconds", Json::Num(secs)),
-                ("gflops", Json::Num(gflops)),
+            update_runs.push(JsonValue::obj(vec![
+                ("encoding", JsonValue::Str(format!("{encoding:?}"))),
+                ("threads", JsonValue::Num(threads as f64)),
+                ("seconds", JsonValue::Num(secs)),
+                ("gflops", JsonValue::Num(gflops)),
             ]));
         }
     }
     update_table.print();
-    let gram_update = Json::obj(vec![
-        ("d", Json::Int(UPDATE_D as i64)),
-        ("rows", Json::Int(update_rows as i64)),
-        ("chunk_rows", Json::Int(chunk_rows as i64)),
-        ("madds", Json::Int(update_madds as i64)),
+    let gram_update = JsonValue::obj(vec![
+        ("d", JsonValue::Num(UPDATE_D as f64)),
+        ("rows", JsonValue::Num(update_rows as f64)),
+        ("chunk_rows", JsonValue::Num(chunk_rows as f64)),
+        ("madds", JsonValue::Num(update_madds as f64)),
         (
             "detected_encoding",
-            Json::Str(format!("{:?}", Encoding::detect())),
+            JsonValue::Str(format!("{:?}", Encoding::detect())),
         ),
-        ("runs", Json::Arr(update_runs)),
+        ("runs", JsonValue::Arr(update_runs)),
     ]);
 
     least_bench::emit_report(
         "ingest_throughput",
         "BENCH_ingest.json",
         vec![
-            ("d", Json::Int(d as i64)),
-            ("reps_best_of", Json::Int(REPS as i64)),
-            ("file_rows", Json::Int(file_rows as i64)),
-            ("csv_bytes", Json::Int(csv_bytes as i64)),
-            ("csv_ingest_seconds", Json::Num(csv_s)),
-            ("csv_rows_per_s", Json::Num(file_rows as f64 / csv_s)),
-            ("binary_bytes", Json::Int(bin_bytes as i64)),
-            ("binary_ingest_seconds", Json::Num(bin_s)),
-            ("binary_rows_per_s", Json::Num(file_rows as f64 / bin_s)),
-            ("formats_agree_bitwise", Json::Bool(formats_agree)),
-            ("train_iters", Json::Int(ITERS as i64)),
-            ("n_small", Json::Int(n_small as i64)),
-            ("n_big", Json::Int(n_big as i64)),
-            ("accumulate_both_seconds", Json::Num(accumulate_s)),
-            ("gram_per_iter_seconds_n_small", Json::Num(per_iter_small)),
-            ("gram_per_iter_seconds_n_big", Json::Num(per_iter_big)),
-            ("gram_per_iter_ratio_big_over_small", Json::Num(ratio)),
-            ("data_per_iter_seconds_n_small", Json::Num(per_iter_data)),
+            ("d", JsonValue::Num(d as f64)),
+            ("reps_best_of", JsonValue::Num(REPS as f64)),
+            ("file_rows", JsonValue::Num(file_rows as f64)),
+            ("csv_bytes", JsonValue::Num(csv_bytes as f64)),
+            ("csv_ingest_seconds", JsonValue::Num(csv_s)),
+            ("csv_rows_per_s", JsonValue::Num(file_rows as f64 / csv_s)),
+            ("binary_bytes", JsonValue::Num(bin_bytes as f64)),
+            ("binary_ingest_seconds", JsonValue::Num(bin_s)),
+            (
+                "binary_rows_per_s",
+                JsonValue::Num(file_rows as f64 / bin_s),
+            ),
+            ("formats_agree_bitwise", JsonValue::Bool(formats_agree)),
+            ("train_iters", JsonValue::Num(ITERS as f64)),
+            ("n_small", JsonValue::Num(n_small as f64)),
+            ("n_big", JsonValue::Num(n_big as f64)),
+            ("accumulate_both_seconds", JsonValue::Num(accumulate_s)),
+            (
+                "gram_per_iter_seconds_n_small",
+                JsonValue::Num(per_iter_small),
+            ),
+            ("gram_per_iter_seconds_n_big", JsonValue::Num(per_iter_big)),
+            ("gram_per_iter_ratio_big_over_small", JsonValue::Num(ratio)),
+            (
+                "gram_loss_per_call_seconds_n_small",
+                JsonValue::Num(gram_call_s),
+            ),
+            (
+                "residual_loss_per_call_seconds_n_small",
+                JsonValue::Num(residual_call_s),
+            ),
             ("gram_update", gram_update),
         ],
     );

@@ -15,11 +15,11 @@
 //! the report records whatever the hardware actually did.
 
 use least_bench::report::{fmt, heading, Table};
-use least_bench::timing::Json;
 use least_data::{export_csv, sample_lsem_dataset, NoiseModel};
 use least_graph::{erdos_renyi_dag, weighted_adjacency_dense, WeightRange};
 use least_jobs::{JobQueue, JobRunner, JobSpec, QueueConfig, RunnerConfig};
 use least_linalg::{par, Xoshiro256pp};
+use least_serve::json::JsonValue;
 use least_serve::ModelRegistry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -129,14 +129,14 @@ fn main() {
         "jobs_throughput",
         "BENCH_jobs.json",
         vec![
-            ("jobs", Json::Int(jobs as i64)),
-            ("d", Json::Int(D as i64)),
-            ("n_per_job", Json::Int(N as i64)),
-            ("serial_wall_s", Json::Num(serial.as_secs_f64())),
-            ("pooled_wall_s", Json::Num(pooled.as_secs_f64())),
-            ("pooled_workers", Json::Int(pool as i64)),
-            ("speedup_serial_over_pooled", Json::Num(speedup)),
-            ("all_succeeded", Json::Bool(serial_ok && pooled_ok)),
+            ("jobs", JsonValue::Num(jobs as f64)),
+            ("d", JsonValue::Num(D as f64)),
+            ("n_per_job", JsonValue::Num(N as f64)),
+            ("serial_wall_s", JsonValue::Num(serial.as_secs_f64())),
+            ("pooled_wall_s", JsonValue::Num(pooled.as_secs_f64())),
+            ("pooled_workers", JsonValue::Num(pool as f64)),
+            ("speedup_serial_over_pooled", JsonValue::Num(speedup)),
+            ("all_succeeded", JsonValue::Bool(serial_ok && pooled_ok)),
         ],
     );
 }

@@ -24,9 +24,9 @@
 //! serving layer rests on.
 
 use least_bench::report::{fmt, heading, Table};
-use least_bench::timing::Json;
 use least_graph::{erdos_renyi_dag, weighted_adjacency_sparse, WeightRange};
 use least_linalg::{par, Xoshiro256pp};
+use least_serve::json::JsonValue;
 use least_serve::{
     HttpClient, ModelArtifact, ModelMeta, ModelRegistry, Server, ServerConfig, WeightMatrix,
 };
@@ -295,37 +295,37 @@ fn main() {
         "serve_throughput",
         "BENCH_serve.json",
         vec![
-            ("d", Json::Int(D as i64)),
-            ("clients", Json::Int(CLIENTS as i64)),
-            ("queries", Json::Int(total_queries as i64)),
-            ("roundtrip_bit_exact_csr", Json::Bool(exact_sparse)),
-            ("roundtrip_bit_exact_dense", Json::Bool(exact_dense)),
-            ("serial_seconds", Json::Num(serial.elapsed)),
+            ("d", JsonValue::Num(D as f64)),
+            ("clients", JsonValue::Num(CLIENTS as f64)),
+            ("queries", JsonValue::Num(total_queries as f64)),
+            ("roundtrip_bit_exact_csr", JsonValue::Bool(exact_sparse)),
+            ("roundtrip_bit_exact_dense", JsonValue::Bool(exact_dense)),
+            ("serial_seconds", JsonValue::Num(serial.elapsed)),
             (
                 "serial_qps",
-                Json::Num(total_queries as f64 / serial.elapsed),
+                JsonValue::Num(total_queries as f64 / serial.elapsed),
             ),
-            ("pooled_workers", Json::Int(pool as i64)),
-            ("pooled_seconds", Json::Num(pooled.elapsed)),
+            ("pooled_workers", JsonValue::Num(pool as f64)),
+            ("pooled_seconds", JsonValue::Num(pooled.elapsed)),
             (
                 "pooled_qps",
-                Json::Num(total_queries as f64 / pooled.elapsed),
+                JsonValue::Num(total_queries as f64 / pooled.elapsed),
             ),
-            ("pooled_p50_ms", Json::Num(pooled.p50_ms())),
-            ("pooled_max_ms", Json::Num(pooled.max_ms())),
-            ("contended_seconds", Json::Num(contended.elapsed)),
+            ("pooled_p50_ms", JsonValue::Num(pooled.p50_ms())),
+            ("pooled_max_ms", JsonValue::Num(pooled.max_ms())),
+            ("contended_seconds", JsonValue::Num(contended.elapsed)),
             (
                 "contended_qps",
-                Json::Num(total_queries as f64 / contended.elapsed),
+                JsonValue::Num(total_queries as f64 / contended.elapsed),
             ),
-            ("contended_p50_ms", Json::Num(contended.p50_ms())),
-            ("contended_max_ms", Json::Num(contended.max_ms())),
+            ("contended_p50_ms", JsonValue::Num(contended.p50_ms())),
+            ("contended_max_ms", JsonValue::Num(contended.max_ms())),
             (
                 "contended_writer_registrations",
-                Json::Int(contended.writer_registrations as i64),
+                JsonValue::Num(contended.writer_registrations as f64),
             ),
-            ("contended_p50_ratio", Json::Num(contended_p50_ratio)),
-            ("speedup", Json::Num(speedup)),
+            ("contended_p50_ratio", JsonValue::Num(contended_p50_ratio)),
+            ("speedup", JsonValue::Num(speedup)),
         ],
     );
 }

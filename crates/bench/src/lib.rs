@@ -16,7 +16,7 @@
 //!
 //! Beyond the paper's figures, three systems benchmarks write
 //! machine-readable JSON artifacts through the shared [`emit_report`]
-//! emitter (one schema: `benchmark`, `parallel_feature`, `threads`, then
+//! emitter (one schema: `benchmark`, `parallel_feature`, `threads`, plus
 //! benchmark-specific fields; `LEAST_BENCH_OUT` overrides the path):
 //!
 //! | Systems benchmark | Target |
@@ -33,7 +33,7 @@ pub mod report;
 pub mod timing;
 pub mod workloads;
 
-use timing::Json;
+use least_serve::json::JsonValue;
 
 pub use report::Table;
 pub use workloads::{benchmark_instance, BenchInstance};
@@ -44,22 +44,25 @@ pub fn full_scale() -> bool {
 }
 
 /// Write a systems-benchmark JSON artifact with the shared envelope
-/// (`benchmark` name, `parallel_feature`, worker-pool size) followed by
-/// the benchmark-specific `fields`, to `LEAST_BENCH_OUT` or
-/// `default_file`. Returns the path written.
-pub fn emit_report(benchmark: &str, default_file: &str, fields: Vec<(&str, Json)>) -> String {
+/// (`benchmark` name, `parallel_feature`, worker-pool size) plus the
+/// benchmark-specific `fields`, to `LEAST_BENCH_OUT` or `default_file`,
+/// as one compact line with sorted keys. Returns the path written.
+pub fn emit_report(benchmark: &str, default_file: &str, fields: Vec<(&str, JsonValue)>) -> String {
     let mut pairs = vec![
-        ("benchmark", Json::Str(benchmark.into())),
-        ("parallel_feature", Json::Bool(cfg!(feature = "parallel"))),
+        ("benchmark", JsonValue::Str(benchmark.into())),
+        (
+            "parallel_feature",
+            JsonValue::Bool(cfg!(feature = "parallel")),
+        ),
         (
             "threads",
-            Json::Int(least_linalg::par::max_threads() as i64),
+            JsonValue::Num(least_linalg::par::max_threads() as f64),
         ),
     ];
     pairs.extend(fields);
-    let report = Json::obj(pairs);
+    let report = JsonValue::obj(pairs).render() + "\n";
     let path = std::env::var("LEAST_BENCH_OUT").unwrap_or_else(|_| default_file.into());
-    std::fs::write(&path, report.render()).expect("write benchmark report");
+    std::fs::write(&path, report).expect("write benchmark report");
     println!("\nwrote {path}");
     path
 }

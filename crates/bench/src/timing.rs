@@ -1,11 +1,9 @@
-//! Minimal timing + JSON-report helpers for the benchmark targets.
+//! Minimal timing helper for the benchmark targets.
 //!
-//! The offline crate set has no `criterion` and no `serde`, so the bench
-//! targets carry their own harness: warmup + best-of-N wall timing, and a
-//! hand-rolled JSON value tree for machine-readable artifacts such as
-//! `BENCH_engine.json`.
+//! The offline crate set has no `criterion`, so the bench targets carry
+//! their own harness: warmup + best-of-N wall timing. Their JSON reports
+//! use `least_serve::json::JsonValue` (see [`crate::emit_report`]).
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Time `f`, returning the best (minimum) wall-clock duration over `reps`
@@ -23,97 +21,6 @@ pub fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
     best
 }
 
-/// A JSON value, just deep enough for benchmark reports.
-#[derive(Debug, Clone)]
-pub enum Json {
-    Num(f64),
-    Int(i64),
-    Bool(bool),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object from key/value pairs (insertion order preserved).
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Self {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Serialize with 2-space indentation.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}]");
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    let _ = write!(out, "{pad}  \"{}\": ", escape(k));
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                let _ = write!(out, "{pad}}}");
-            }
-        }
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,29 +29,5 @@ mod tests {
     fn best_of_returns_positive_duration() {
         let d = time_best_of(3, || (0..1000).sum::<u64>());
         assert!(d > Duration::ZERO);
-    }
-
-    #[test]
-    fn json_renders_nested() {
-        let j = Json::obj(vec![
-            ("name", Json::Str("engine".into())),
-            ("ok", Json::Bool(true)),
-            ("times", Json::Arr(vec![Json::Num(1.5), Json::Int(2)])),
-        ]);
-        let s = j.render();
-        assert!(s.contains("\"name\": \"engine\""));
-        assert!(s.contains("1.5"));
-        assert!(s.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let j = Json::Str("a\"b\\c\nd".into());
-        assert_eq!(j.render().trim_end(), r#""a\"b\\c\nd""#);
-    }
-
-    #[test]
-    fn non_finite_numbers_become_null() {
-        assert_eq!(Json::Num(f64::NAN).render().trim_end(), "null");
     }
 }

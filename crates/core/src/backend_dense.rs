@@ -6,14 +6,20 @@
 //! `least-notears` gives the baselines on *identical* optimizer machinery
 //! (the shared [`crate::engine`] loop), so benchmark differences isolate
 //! exactly what the paper claims — the cost of the constraint.
+//!
+//! The loss is picked once, by the entry point: `fit` trains from
+//! `G = XᵀX` when the run is full batch (`batch_size` unset or ≥ n) and
+//! on mini-batch residuals otherwise; `fit_stats` always trains from the
+//! statistics' `G`. A full-batch `fit` and `fit_stats` on the same data
+//! therefore give identical weights.
 
-use crate::config::{LeastConfig, LossPath};
+use crate::config::LeastConfig;
 use crate::constraint::Acyclicity;
-use crate::engine::{self, Learned, LeastSolver, TrainSource, WeightBackend, H_SCC_CAP};
-use crate::loss::{batch_value_and_grad, GramLoss};
+use crate::engine::{self, Learned, LeastSolver, WeightBackend, H_SCC_CAP};
+use crate::loss::{batch_value_and_grad, GramLoss, Loss};
 use least_data::{Dataset, SufficientStats};
 use least_graph::{sparse_h, DiGraph};
-use least_linalg::{init, CsrMatrix, DenseMatrix, LinalgError, Result, Xoshiro256pp};
+use least_linalg::{init, CsrMatrix, DenseMatrix, Result, Xoshiro256pp};
 use least_optim::AdamState;
 
 /// Marker type selecting the dense backend.
@@ -43,7 +49,7 @@ impl Learned<DenseMatrix> {
 impl LeastDense {
     /// Create a solver, validating the configuration.
     pub fn new(config: LeastConfig) -> Result<Self> {
-        engine::validate_config(&config, false)?;
+        config.validate()?;
         Ok(Self::from_validated(config))
     }
 
@@ -61,7 +67,12 @@ impl LeastDense {
         data: &Dataset,
         constraint: &dyn Acyclicity,
     ) -> Result<LearnedDense> {
-        self.fit_source(&TrainSource::Data(data), constraint)
+        let cfg = self.config();
+        let loss = match cfg.batch_size {
+            Some(batch) if batch < data.num_samples() => Loss::Residual { data, batch },
+            _ => Loss::Gram(GramLoss::new(data.matrix(), cfg.lambda)?),
+        };
+        self.run(data.num_vars(), loss, constraint)
     }
 
     /// Fit from precomputed sufficient statistics with the paper's
@@ -77,82 +88,50 @@ impl LeastDense {
     }
 
     /// [`Self::fit_stats`] with an arbitrary differentiable constraint.
-    /// (A `loss_path = Data` configuration is rejected: statistics carry
-    /// no raw data to evaluate a residual loss on.)
     pub fn fit_stats_with_constraint(
         &self,
         stats: &SufficientStats,
         constraint: &dyn Acyclicity,
     ) -> Result<LearnedDense> {
-        self.fit_source(&TrainSource::Stats(stats), constraint)
+        let loss = Loss::Gram(GramLoss::from_stats(stats, self.config().lambda)?);
+        self.run(stats.dim(), loss, constraint)
     }
 
-    fn fit_source(
-        &self,
-        source: &TrainSource<'_>,
-        constraint: &dyn Acyclicity,
-    ) -> Result<LearnedDense> {
+    fn run(&self, d: usize, loss: Loss<'_>, constraint: &dyn Acyclicity) -> Result<LearnedDense> {
         let cfg = self.config();
         let mut rng = Xoshiro256pp::new(cfg.seed);
-        let backend = DenseState::init(cfg, source, constraint, &mut rng)?;
-        engine::run(cfg, source, backend, &mut rng)
+        let backend = DenseState::init(cfg, d, loss, constraint, &mut rng)?;
+        engine::run(cfg, backend, &mut rng)
     }
 }
 
-/// Live dense engine state: the iterate plus the loss specialization.
+/// Live dense engine state: the iterate, its loss and its constraint.
 struct DenseState<'a> {
     w: DenseMatrix,
-    /// Precomputed `XᵀX` loss for full-batch runs; `None` = mini-batch.
-    gram: Option<GramLoss>,
+    loss: Loss<'a>,
     constraint: &'a dyn Acyclicity,
     lambda: f64,
-    batch_size: Option<usize>,
 }
 
 impl<'a> DenseState<'a> {
     fn init(
         cfg: &LeastConfig,
-        source: &TrainSource<'_>,
+        d: usize,
+        loss: Loss<'a>,
         constraint: &'a dyn Acyclicity,
         rng: &mut Xoshiro256pp,
     ) -> Result<Self> {
-        let d = source.num_vars();
         let mut w = match cfg.init_density {
             Some(zeta) => init::glorot_sparse(d, zeta, rng)?.to_dense(),
             None => init::glorot_dense(d, rng),
         };
         w.zero_diagonal();
-
-        let gram = select_gram(cfg, source)?;
         Ok(Self {
             w,
-            gram,
+            loss,
             constraint,
             lambda: cfg.lambda,
-            batch_size: cfg.batch_size,
         })
-    }
-}
-
-/// Decide whether the dense backend trains from a precomputed Gram
-/// matrix: statistics sources always do; data sources follow
-/// [`LossPath`], with `Auto` reproducing the historical dense behavior
-/// (full-batch runs amortize `XᵀX` across every iteration, mini-batch
-/// runs stay on the residual path).
-fn select_gram(cfg: &LeastConfig, source: &TrainSource<'_>) -> Result<Option<GramLoss>> {
-    match (source, cfg.loss_path) {
-        (TrainSource::Stats(_), LossPath::Data) => Err(LinalgError::InvalidArgument(
-            "loss_path = Data is incompatible with a statistics source".into(),
-        )),
-        (TrainSource::Stats(stats), _) => Ok(Some(GramLoss::from_stats(stats, cfg.lambda)?)),
-        (TrainSource::Data(_), LossPath::Data) => Ok(None),
-        (TrainSource::Data(data), LossPath::Gram) => {
-            Ok(Some(GramLoss::new(data.matrix(), cfg.lambda)?))
-        }
-        (TrainSource::Data(data), LossPath::Auto) => match cfg.batch_size {
-            Some(b) if b < data.num_samples() => Ok(None),
-            _ => Ok(Some(GramLoss::new(data.matrix(), cfg.lambda)?)),
-        },
     }
 }
 
@@ -172,21 +151,12 @@ impl WeightBackend for DenseState<'_> {
         self.constraint.value(&self.w)
     }
 
-    fn loss_value_and_grad(
-        &mut self,
-        source: &TrainSource<'_>,
-        rng: &mut Xoshiro256pp,
-    ) -> Result<(f64, DenseMatrix)> {
-        match (&self.gram, source) {
-            (Some(g), _) => g.value_and_grad(&self.w),
-            (None, TrainSource::Data(data)) => {
-                let batch = data.sample_batch(self.batch_size.unwrap_or(data.num_samples()), rng);
-                batch_value_and_grad(&batch, &self.w, self.lambda)
+    fn loss_value_and_grad(&mut self, rng: &mut Xoshiro256pp) -> Result<(f64, DenseMatrix)> {
+        match &self.loss {
+            Loss::Gram(g) => g.value_and_grad(&self.w),
+            Loss::Residual { data, batch } => {
+                batch_value_and_grad(&data.sample_batch(*batch, rng), &self.w, self.lambda)
             }
-            // Unreachable: init builds a GramLoss for every stats source.
-            (None, TrainSource::Stats(_)) => Err(LinalgError::InvalidArgument(
-                "statistics source without a Gram loss".into(),
-            )),
         }
     }
 
@@ -348,50 +318,28 @@ mod tests {
 
     #[test]
     fn stats_fit_is_bit_identical_to_full_batch_data_fit() {
-        // Full-batch Auto uses GramLoss::new(X); fit_stats adopts the
+        // A full-batch fit uses GramLoss::new(X); fit_stats adopts the
         // identical t_matmul product, so the trajectories coincide exactly.
+        // A batch of n or more rows is full batch too.
         use least_data::{Preprocess, SufficientStats};
         let (_, data) = chain_dataset(5, 300, 308);
-        let solver = LeastDense::new(fast_config()).unwrap();
-        let from_data = solver.fit(&data).unwrap();
+        let n = data.num_samples();
         let stats = SufficientStats::from_dataset(&data, Preprocess::Raw).unwrap();
-        let from_stats = solver.fit_stats(&stats).unwrap();
-        assert!(from_data.weights.approx_eq(&from_stats.weights, 0.0));
-        assert_eq!(from_data.rounds, from_stats.rounds);
-    }
-
-    #[test]
-    fn forced_data_path_still_recovers_and_rejects_stats() {
-        use crate::config::LossPath;
-        use least_data::{Preprocess, SufficientStats};
-        let (truth, data) = chain_dataset(5, 600, 309);
-        let mut cfg = fast_config();
-        cfg.loss_path = LossPath::Data;
-        let solver = LeastDense::new(cfg).unwrap();
-        let result = solver.fit(&data).unwrap();
-        let (points, best) = best_threshold(&truth, &result.weights, &paper_tau_grid());
-        assert!(
-            points[best].metrics.f1 > 0.85,
-            "F1 {}",
-            points[best].metrics.f1
-        );
-        // A raw-data-only config cannot honor a statistics source.
-        let stats = SufficientStats::from_dataset(&data, Preprocess::Raw).unwrap();
-        assert!(solver.fit_stats(&stats).is_err());
-    }
-
-    #[test]
-    fn gram_path_with_minibatch_config_trains_full_batch() {
-        use crate::config::LossPath;
-        let (_, data) = chain_dataset(5, 300, 310);
-        let mut cfg = fast_config();
-        cfg.batch_size = Some(32); // ignored by the Gram path
-        cfg.loss_path = LossPath::Gram;
-        let solver = LeastDense::new(cfg).unwrap();
-        let a = solver.fit(&data).unwrap();
-        // Gram training is deterministic full-batch: rerun is identical.
-        let b = solver.fit(&data).unwrap();
-        assert!(a.weights.approx_eq(&b.weights, 0.0));
-        assert!(a.final_constraint < 1e-2);
+        let from_stats = LeastDense::new(fast_config())
+            .unwrap()
+            .fit_stats(&stats)
+            .unwrap();
+        for batch_size in [None, Some(n), Some(n + 7)] {
+            let cfg = LeastConfig {
+                batch_size,
+                ..fast_config()
+            };
+            let from_data = LeastDense::new(cfg).unwrap().fit(&data).unwrap();
+            assert!(
+                from_data.weights == from_stats.weights,
+                "batch_size {batch_size:?}"
+            );
+            assert_eq!(from_data.rounds, from_stats.rounds);
+        }
     }
 }

@@ -17,15 +17,21 @@
 //! initial pattern (density `ζ`) is the search space. That trades recall
 //! for the ability to scale to 10⁵ nodes — the paper's Fig. 5 experiments
 //! measure constraint convergence, not recovery, in this regime.
+//!
+//! The loss is picked once, by the entry point: `fit` always trains on
+//! support-restricted residuals of `batch_size` rows (all rows when
+//! unset) — even a full batch, since this backend exists for the `d`
+//! where a dense `d×d` Gram no longer fits — and `fit_stats` trains from
+//! the statistics' `G`.
 
 use crate::bound::SpectralBound;
-use crate::config::{LeastConfig, LossPath};
-use crate::engine::{self, Learned, LeastSolver, TrainSource, WeightBackend, H_SCC_CAP};
+use crate::config::LeastConfig;
+use crate::engine::{self, Learned, LeastSolver, WeightBackend, H_SCC_CAP};
 use crate::grad::backward_sparse;
-use crate::loss::{sparse_value_and_grad, GramLoss};
+use crate::loss::{sparse_value_and_grad, GramLoss, Loss};
 use least_data::{Dataset, SufficientStats};
 use least_graph::{sparse_h, DiGraph};
-use least_linalg::{init, CsrMatrix, LinalgError, Result, Xoshiro256pp};
+use least_linalg::{init, CsrMatrix, Result, Xoshiro256pp};
 use least_optim::AdamState;
 
 /// Marker type selecting the sparse backend.
@@ -49,13 +55,14 @@ impl LeastSparse {
     /// Create a solver, validating the configuration. The sparse solver
     /// requires an initialization density `ζ` (the paper uses 1e-4).
     pub fn new(config: LeastConfig) -> Result<Self> {
-        engine::validate_config(&config, true)?;
+        config.validate_sparse()?;
         Ok(Self::from_validated(config))
     }
 
     /// Fit the spectral-bound LEAST model on the dataset.
     pub fn fit(&self, data: &Dataset) -> Result<LearnedSparse> {
-        self.fit_source(&TrainSource::Data(data))
+        let batch = self.config().batch_size.unwrap_or(data.num_samples());
+        self.run(data.num_vars(), Loss::Residual { data, batch })
     }
 
     /// Fit from precomputed sufficient statistics: per-iteration cost
@@ -63,64 +70,44 @@ impl LeastSparse {
     /// DESIGN.md §9). Note the Gram matrix is dense `d×d`, so this path
     /// suits the "huge `n`, moderate `d`" regime; at the paper's 10⁵-node
     /// scale the support-restricted mini-batch path remains the right tool.
-    /// (A `loss_path = Data` configuration is rejected: statistics carry
-    /// no raw data to evaluate a residual loss on.)
     pub fn fit_stats(&self, stats: &SufficientStats) -> Result<LearnedSparse> {
-        self.fit_source(&TrainSource::Stats(stats))
+        let loss = Loss::Gram(GramLoss::from_stats(stats, self.config().lambda)?);
+        self.run(stats.dim(), loss)
     }
 
-    fn fit_source(&self, source: &TrainSource<'_>) -> Result<LearnedSparse> {
+    fn run(&self, d: usize, loss: Loss<'_>) -> Result<LearnedSparse> {
         let cfg = self.config();
         let mut rng = Xoshiro256pp::new(cfg.seed);
-        let backend = SparseState::init(cfg, source, &mut rng)?;
-        engine::run(cfg, source, backend, &mut rng)
+        let backend = SparseState::init(cfg, d, loss, &mut rng)?;
+        engine::run(cfg, backend, &mut rng)
     }
 }
 
-/// Live sparse engine state: the CSR iterate plus the hardwired spectral
-/// bound (the masked `O(k·nnz)` backward pass has no dense-constraint
-/// counterpart to be generic over).
-struct SparseState {
+/// Live sparse engine state: the CSR iterate, its loss and the hardwired
+/// spectral bound (the masked `O(k·nnz)` backward pass has no
+/// dense-constraint counterpart to be generic over).
+struct SparseState<'a> {
     w: CsrMatrix,
     bound: SpectralBound,
-    /// Precomputed second-moment loss (statistics sources and
-    /// `LossPath::Gram`); `None` = support-restricted residual path.
-    gram: Option<GramLoss>,
+    loss: Loss<'a>,
     lambda: f64,
-    batch_size: Option<usize>,
 }
 
-impl SparseState {
-    fn init(cfg: &LeastConfig, source: &TrainSource<'_>, rng: &mut Xoshiro256pp) -> Result<Self> {
+impl<'a> SparseState<'a> {
+    fn init(cfg: &LeastConfig, d: usize, loss: Loss<'a>, rng: &mut Xoshiro256pp) -> Result<Self> {
         let bound = SpectralBound::new(cfg.k, cfg.alpha)?;
         let zeta = cfg.init_density.expect("validated in new()");
-        let w = init::glorot_sparse(source.num_vars(), zeta, rng)?;
-        // Unlike the dense backend, `Auto` on a data source keeps the
-        // residual path even for full batches: the sparse solver exists
-        // for the `d` regime where a dense d×d Gram no longer fits.
-        let gram = match (source, cfg.loss_path) {
-            (TrainSource::Stats(_), LossPath::Data) => {
-                return Err(LinalgError::InvalidArgument(
-                    "loss_path = Data is incompatible with a statistics source".into(),
-                ))
-            }
-            (TrainSource::Stats(stats), _) => Some(GramLoss::from_stats(stats, cfg.lambda)?),
-            (TrainSource::Data(data), LossPath::Gram) => {
-                Some(GramLoss::new(data.matrix(), cfg.lambda)?)
-            }
-            (TrainSource::Data(_), _) => None,
-        };
+        let w = init::glorot_sparse(d, zeta, rng)?;
         Ok(Self {
             w,
             bound,
-            gram,
+            loss,
             lambda: cfg.lambda,
-            batch_size: cfg.batch_size,
         })
     }
 }
 
-impl WeightBackend for SparseState {
+impl WeightBackend for SparseState<'_> {
     type Weights = CsrMatrix;
     type Grad = Vec<f64>;
 
@@ -138,21 +125,12 @@ impl WeightBackend for SparseState {
         self.bound.value_sparse(&self.w)
     }
 
-    fn loss_value_and_grad(
-        &mut self,
-        source: &TrainSource<'_>,
-        rng: &mut Xoshiro256pp,
-    ) -> Result<(f64, Vec<f64>)> {
-        match (&self.gram, source) {
-            (Some(g), _) => g.sparse_value_and_grad(&self.w),
-            (None, TrainSource::Data(data)) => {
-                let batch = data.sample_batch(self.batch_size.unwrap_or(data.num_samples()), rng);
-                sparse_value_and_grad(&batch, &self.w, self.lambda)
+    fn loss_value_and_grad(&mut self, rng: &mut Xoshiro256pp) -> Result<(f64, Vec<f64>)> {
+        match &self.loss {
+            Loss::Gram(g) => g.sparse_value_and_grad(&self.w),
+            Loss::Residual { data, batch } => {
+                sparse_value_and_grad(&data.sample_batch(*batch, rng), &self.w, self.lambda)
             }
-            // Unreachable: init builds a GramLoss for every stats source.
-            (None, TrainSource::Stats(_)) => Err(LinalgError::InvalidArgument(
-                "statistics source without a Gram loss".into(),
-            )),
         }
     }
 
@@ -291,16 +269,5 @@ mod tests {
         assert!(a.graph(0.3).is_dag());
         let b = solver.fit_stats(&stats).unwrap();
         assert!(a.weights.approx_eq(&b.weights, 0.0));
-    }
-
-    #[test]
-    fn stats_fit_rejects_forced_data_path() {
-        use crate::config::LossPath;
-        use least_data::{Preprocess, SufficientStats};
-        let data = er_dataset(20, 100, 407);
-        let stats = SufficientStats::from_dataset(&data, Preprocess::Raw).unwrap();
-        let mut cfg = sparse_config(0.1);
-        cfg.loss_path = LossPath::Data;
-        assert!(LeastSparse::new(cfg).unwrap().fit_stats(&stats).is_err());
     }
 }

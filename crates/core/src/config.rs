@@ -1,6 +1,7 @@
 //! Solver configuration: the tunables of Fig. 3 of the paper
 //! (`X, ζ, λ, ε, k, α, B, θ, T_o, T_i`) plus implementation knobs.
 
+use least_linalg::LinalgError;
 use least_optim::{AdamConfig, AugLagConfig};
 use std::fmt;
 
@@ -54,28 +55,12 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Which loss implementation feeds the inner loop (DESIGN.md §9).
-///
-/// The LSEM least-squares loss is an exact function of the second-moment
-/// matrix `G = XᵀX`, so full-batch training never needs the raw data after
-/// `G` is known — per-iteration cost becomes `O(d² + d·nnz(W))` dense /
-/// `O(Σ_slots nnz(col))` sparse, independent of `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LossPath {
-    /// Pick per backend: the dense solver uses the Gram specialization for
-    /// full-batch runs and the residual path for mini-batches; the sparse
-    /// solver uses the support-restricted residual path. (The historical
-    /// behavior.)
-    #[default]
-    Auto,
-    /// Force the residual (raw-data) path even for full-batch dense runs.
-    Data,
-    /// Force the sufficient-statistics path on either backend: `G` is
-    /// taken from the provided [`least_data::SufficientStats`] (the
-    /// `fit_stats` entry points) or computed once from the dataset.
-    /// Full-batch semantics — `batch_size` is ignored, since `G` already
-    /// summarizes every sample.
-    Gram,
+/// Lets the solver constructors validate with `?` on the crate-wide
+/// `LinalgError` result type.
+impl From<ConfigError> for LinalgError {
+    fn from(e: ConfigError) -> Self {
+        LinalgError::InvalidArgument(e.to_string())
+    }
 }
 
 /// Configuration shared by [`crate::LeastDense`] and [`crate::LeastSparse`].
@@ -95,7 +80,8 @@ pub struct LeastConfig {
     /// solver defaults to full Glorot init, `None`).
     pub init_density: Option<f64>,
     /// Mini-batch size `B`; `None` = full batch (the paper sets `B = n` on
-    /// benchmarks and `B = 1000` at scale).
+    /// benchmarks and `B = 1000` at scale). Together with the entry point
+    /// it picks the loss (DESIGN.md §9.3); `fit_stats` is always full batch.
     pub batch_size: Option<usize>,
     /// In-loop filtering threshold `θ` (paper: 0 on benchmarks, 1e-3 at
     /// scale; our default 0.05 — see [`LeastConfig::paper_benchmark`]).
@@ -124,10 +110,6 @@ pub struct LeastConfig {
     /// matrix exponential; needed for Fig. 4 row 3 and Fig. 5 outputs and
     /// for the paper-faithful termination check).
     pub track_h: bool,
-    /// Loss implementation selector (see [`LossPath`]). `Auto` preserves
-    /// the historical per-backend choice; `Gram` trains both backends from
-    /// sufficient statistics, making per-iteration cost independent of `n`.
-    pub loss_path: LossPath,
     /// Also require `h(W) ≤ ε` to declare convergence, matching the
     /// modified termination the paper uses for its benchmark comparison
     /// ("we also compute the value of h(W) and terminate when h(W) is
@@ -153,7 +135,6 @@ impl Default for LeastConfig {
             inner_patience: 5,
             adam: AdamConfig::default(),
             rho_growth: 10.0,
-            loss_path: LossPath::Auto,
             track_h: false,
             terminate_on_h: false,
             seed: 0xBEA5,
@@ -319,12 +300,6 @@ mod tests {
         assert_eq!(c.theta, 1e-3);
         assert_eq!(c.init_density, Some(1e-4));
         assert_eq!(c.epsilon, 1e-8);
-    }
-
-    #[test]
-    fn default_loss_path_is_auto() {
-        assert_eq!(LeastConfig::default().loss_path, LossPath::Auto);
-        assert_eq!(LossPath::default(), LossPath::Auto);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! [`crate::backend_sparse`]. Future representations (sharded, GPU,
 //! async-batched) plug in at the same seam.
 //!
+//! The loop never sees the training data. Each backend is built around
+//! its loss — a Gram matrix, or a dataset it draws batches from — which
+//! the solver's entry point (`fit` or `fit_stats`) and `batch_size` pick
+//! once (DESIGN.md §9.3); the engine only passes the RNG along.
+//!
 //! Deviations from the paper's pseudocode, documented in DESIGN.md §6:
 //! `W` is initialized once before the outer loop (Fig. 3 as printed
 //! re-randomizes it every round, discarding progress); the dense diagonal
@@ -21,45 +26,10 @@
 
 use crate::config::LeastConfig;
 use crate::trace::{ConvergenceTrace, TracePoint};
-use least_data::{Dataset, SufficientStats};
-use least_linalg::{LinalgError, Result, Xoshiro256pp};
+use least_linalg::{Result, Xoshiro256pp};
 use least_optim::{AdamState, AugLagState};
 use std::marker::PhantomData;
 use std::time::Instant;
-
-/// What the training loss is evaluated against: either the raw sample
-/// matrix, or a precomputed sufficient-statistics summary (DESIGN.md §9).
-///
-/// The Gram variant is what makes the engine's per-iteration cost
-/// independent of `n`: an out-of-core ingestion pass (see `least-ingest`)
-/// reduces a dataset of any length to `O(d²)` state, and the
-/// `fit_stats` entry points train from that summary alone — the raw data
-/// never has to exist in memory (or at all, once statistics are archived).
-#[derive(Debug, Clone, Copy)]
-pub enum TrainSource<'a> {
-    /// Raw `n × d` samples (mini-batchable).
-    Data(&'a Dataset),
-    /// Second-moment summary `G = XᵀX`, means/scales, and `n`.
-    Stats(&'a SufficientStats),
-}
-
-impl TrainSource<'_> {
-    /// Number of variables `d`.
-    pub fn num_vars(&self) -> usize {
-        match self {
-            TrainSource::Data(d) => d.num_vars(),
-            TrainSource::Stats(s) => s.dim(),
-        }
-    }
-
-    /// Number of samples `n` the source summarizes.
-    pub fn num_samples(&self) -> u64 {
-        match self {
-            TrainSource::Data(d) => d.num_samples() as u64,
-            TrainSource::Stats(s) => s.n,
-        }
-    }
-}
 
 /// SCC dense-submatrix cap used when evaluating exact `h` on learned
 /// matrices (components larger than this fall back to an upper bound —
@@ -71,7 +41,8 @@ pub(crate) const H_SCC_CAP: usize = 600;
 ///
 /// Contract (see DESIGN.md §4): a backend owns the current iterate and
 /// whatever per-representation machinery evaluates it (constraint
-/// forward/backward state, a cached Gram matrix, a CSR pattern). The
+/// forward/backward state, a CSR pattern) — including its training loss,
+/// chosen once when it is built (a Gram matrix or the raw data). The
 /// engine guarantees the call order per inner iteration:
 /// `constraint_value_and_grad` → `loss_value_and_grad` → `add_scaled` →
 /// `adam_step` → (optionally) `threshold`; and per outer round:
@@ -98,14 +69,10 @@ pub trait WeightBackend {
     /// for backends that skip the backward pass).
     fn constraint_value(&mut self) -> Result<f64>;
 
-    /// Training-loss value and gradient against the active
-    /// [`TrainSource`]. Mini-batch backends draw from `rng`; full-batch
-    /// and Gram-path backends must not touch it.
-    fn loss_value_and_grad(
-        &mut self,
-        source: &TrainSource<'_>,
-        rng: &mut Xoshiro256pp,
-    ) -> Result<(f64, Self::Grad)>;
+    /// Training-loss value and gradient at the current iterate.
+    /// Mini-batch backends draw from `rng`; Gram-path backends must not
+    /// touch it.
+    fn loss_value_and_grad(&mut self, rng: &mut Xoshiro256pp) -> Result<(f64, Self::Grad)>;
 
     /// `grad += coeff · other` — folds the penalty gradient into the loss
     /// gradient.
@@ -173,26 +140,11 @@ impl<Mode> LeastSolver<Mode> {
     }
 }
 
-/// Shared configuration validation. `requires_density` is the sparse
-/// backend's extra demand: the random initial pattern (density ζ) is its
-/// entire search space, so `init_density` must be set. The full typed
-/// checks live on [`LeastConfig::validate`]; this shim keeps the solver
-/// constructors on the crate-wide `LinalgError` result type.
-pub(crate) fn validate_config(config: &LeastConfig, requires_density: bool) -> Result<()> {
-    let checked = if requires_density {
-        config.validate_sparse()
-    } else {
-        config.validate()
-    };
-    checked.map_err(|e| LinalgError::InvalidArgument(e.to_string()))
-}
-
 /// Run the augmented-Lagrangian outer loop to completion over an
 /// initialized backend. This is the single copy of the logic both solvers
 /// used to duplicate.
 pub(crate) fn run<B: WeightBackend>(
     cfg: &LeastConfig,
-    source: &TrainSource<'_>,
     mut backend: B,
     rng: &mut Xoshiro256pp,
 ) -> Result<Learned<B::Weights>> {
@@ -212,7 +164,7 @@ pub(crate) fn run<B: WeightBackend>(
 
         for _it in 0..cfg.max_inner {
             let (c, c_grad) = backend.constraint_value_and_grad()?;
-            let (loss_val, mut grad) = backend.loss_value_and_grad(source, rng)?;
+            let (loss_val, mut grad) = backend.loss_value_and_grad(rng)?;
             last_loss = loss_val;
             let obj = loss_val + auglag.penalty(c);
             B::add_scaled(&mut grad, auglag.penalty_grad_coeff(c), &c_grad)?;

@@ -35,16 +35,14 @@ pub mod engine;
 pub mod grad;
 pub mod loss;
 pub mod sem;
-pub mod stability;
 pub mod trace;
 
 pub use backend_dense::{Dense, LearnedDense, LeastDense};
 pub use backend_sparse::{LearnedSparse, LeastSparse, Sparse};
 pub use bound::{SpectralBound, SpectralBoundForward};
-pub use config::{ConfigError, LeastConfig, LossPath};
+pub use config::{ConfigError, LeastConfig};
 pub use constraint::Acyclicity;
-pub use engine::{Learned, LeastSolver, TrainSource, WeightBackend};
+pub use engine::{Learned, LeastSolver, WeightBackend};
 pub use loss::GramLoss;
 pub use sem::FittedSem;
-pub use stability::{bootstrap_edges, BootstrapConfig, EdgeConfidence};
 pub use trace::{ConvergenceTrace, TracePoint};

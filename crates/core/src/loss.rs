@@ -3,7 +3,8 @@
 //!
 //! * **Gram path** (full batch): with `G = XᵀX` precomputed once,
 //!   `∇ = (2/n)·G·(W − I)` and the loss needs only inner products — no
-//!   `n`-sized work per iteration. Used by the dense solver when `B = n`;
+//!   `n`-sized work per iteration. Used by every `fit_stats` and by the
+//!   dense `fit` when `B ≥ n`;
 //!   `G·W` is gathered by the register-tiled `Wᵀ·(columns of G)` kernel
 //!   (`least_linalg::tile`), which visits per block of 4 columns of `W`
 //!   only the rows with a nonzero, so an iteration costs
@@ -18,7 +19,7 @@
 //! The L1 term uses the subgradient `λ·sign(W)` (zero at zero), matching
 //! what TensorFlow autodiff gives the paper's implementation.
 
-use least_data::SufficientStats;
+use least_data::{Dataset, SufficientStats};
 use least_linalg::tile::{at_b_accumulate, Encoding};
 use least_linalg::{par, CsrMatrix, DenseMatrix, LinalgError, Result};
 use std::sync::OnceLock;
@@ -246,6 +247,16 @@ fn check_finite(gram: &DenseMatrix) -> Result<()> {
 
 /// Minimum CSR rows per worker in the sparse Gram-loss path.
 const GRAM_SPARSE_ROW_GRAIN: usize = 16;
+
+/// The training loss a backend evaluates every inner iteration, chosen
+/// once when the backend is built (DESIGN.md §9.3).
+pub(crate) enum Loss<'a> {
+    /// Full-batch least squares from `G = XᵀX`; never touches the RNG.
+    Gram(GramLoss),
+    /// Least squares on the residuals of `batch` rows of `data`, drawn
+    /// from the engine's RNG each iteration (all rows when `batch ≥ n`).
+    Residual { data: &'a Dataset, batch: usize },
+}
 
 /// Mini-batch dense loss: `R = X_B·W − X_B`, `∇ = (2/B)·X_BᵀR + λ·sign`.
 pub fn batch_value_and_grad(

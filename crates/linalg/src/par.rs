@@ -25,6 +25,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+#[cfg(feature = "parallel")]
 use std::sync::OnceLock;
 
 /// Hard cap on worker threads: past this, spawn overhead and memory
