@@ -81,7 +81,7 @@ fn streamed_stats(w: &DenseMatrix, n: usize, seed: u64) -> SufficientStats {
 }
 
 /// One fixed-work training run (init + `ITERS` inner iterations).
-fn fixed_work_config(d: usize) -> LeastConfig {
+fn fixed_work_config() -> LeastConfig {
     let mut cfg = LeastConfig {
         max_outer: 1,
         max_inner: ITERS,
@@ -92,7 +92,6 @@ fn fixed_work_config(d: usize) -> LeastConfig {
         ..Default::default()
     };
     cfg.adam.learning_rate = 0.01;
-    let _ = d;
     cfg
 }
 
@@ -169,7 +168,7 @@ fn main() {
     let stats_big = streamed_stats(&w, n_big, 0x51A8);
     let accumulate_s = accumulate_start.elapsed().as_secs_f64();
 
-    let cfg = fixed_work_config(d);
+    let cfg = fixed_work_config();
     let solver = LeastDense::new(cfg).expect("config");
     let small_s = time_best_of(REPS, || solver.fit_stats(&stats_small).expect("fit")).as_secs_f64();
     let big_s = time_best_of(REPS, || solver.fit_stats(&stats_big).expect("fit")).as_secs_f64();

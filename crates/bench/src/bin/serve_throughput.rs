@@ -1,14 +1,20 @@
 //! Serving-layer throughput benchmark.
 //!
-//! Drives ≥ 10k Markov-blanket + conditional-mean queries against a
-//! d=1000 sparse linear-Gaussian model **through the real TCP path**
-//! (connect, HTTP/1.1 keep-alive, JSON in/out), in three scenarios:
+//! First times the query engine alone, called directly: median µs per
+//! call for `markov_blanket`, `marginal` and a 3-evidence `posterior` on
+//! a d=1000 ER model, and a 3-evidence `posterior` on a d=1000 chain
+//! whose target's ancestor closure is every node (the worst case for the
+//! closure-local inference).
+//!
+//! Then drives ≥ 10k Markov-blanket + conditional-mean queries against
+//! the ER model **through the real TCP path** (connect, HTTP/1.1
+//! keep-alive, JSON in/out), in three scenarios:
 //!
 //! 1. `serial` — one server worker;
 //! 2. `pooled` — the full worker pool;
 //! 3. `contended` — the full pool **while a writer thread re-registers
 //!    models over HTTP for the whole storm**, the scenario the lock-free
-//!    snapshot registry exists for: per-query p50/max latency is
+//!    snapshot registry exists for: per-query p50/p99 latency is
 //!    reported with and without the writer, and with snapshot reads the
 //!    contended p50 should sit within noise of the writer-free p50
 //!    (an `RwLock` registry would stall every reader behind each
@@ -25,10 +31,11 @@
 
 use least_bench::report::{fmt, heading, Table};
 use least_graph::{erdos_renyi_dag, weighted_adjacency_sparse, WeightRange};
-use least_linalg::{par, Xoshiro256pp};
+use least_linalg::{par, CsrMatrix, DenseMatrix, Xoshiro256pp};
 use least_serve::json::JsonValue;
 use least_serve::{
-    HttpClient, ModelArtifact, ModelMeta, ModelRegistry, Server, ServerConfig, WeightMatrix,
+    HttpClient, ModelArtifact, ModelMeta, ModelRegistry, QueryEngine, Server, ServerConfig,
+    WeightMatrix,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,6 +47,12 @@ const D: usize = 1000;
 const CLIENTS: usize = 16;
 /// Queries per client (total = CLIENTS × PER_CLIENT ≥ 10k).
 const PER_CLIENT: usize = 640;
+/// Distinct queries per kind in the engine phase.
+const ENGINE_QUERIES: usize = 256;
+/// Timed passes over each engine query pool; the median pass is reported.
+const ENGINE_PASSES: usize = 21;
+/// Evidence nodes per engine-phase `posterior`.
+const EVIDENCE: usize = 3;
 
 /// d=1000 sparse ER ground-truth model with unit noise and mild
 /// intercepts — the LEAST-SP regime a deployed model comes from.
@@ -58,6 +71,96 @@ fn model() -> ModelArtifact {
         },
     )
     .expect("consistent artifact")
+}
+
+/// d=1000 chain `0 → 1 → … → 999` (weights of magnitude 0.5–1, unit
+/// noise, mild intercepts): the ancestor closure of node 999 is the whole
+/// model.
+fn chain_model() -> ModelArtifact {
+    let mut rng = Xoshiro256pp::new(0xC4A1);
+    let mut w = DenseMatrix::zeros(D, D);
+    for v in 1..D {
+        let magnitude = rng.uniform(0.5, 1.0);
+        w[(v - 1, v)] = if rng.bernoulli(0.5) {
+            magnitude
+        } else {
+            -magnitude
+        };
+    }
+    let intercepts: Vec<f64> = (0..D).map(|_| rng.uniform(-0.5, 0.5)).collect();
+    ModelArtifact::new(
+        WeightMatrix::Sparse(CsrMatrix::from_dense(&w, 0.0)),
+        intercepts,
+        vec![1.0; D],
+        ModelMeta {
+            threshold: 0.0,
+            fingerprint: "serve_throughput chain d=1000".into(),
+        },
+    )
+    .expect("consistent artifact")
+}
+
+/// `EVIDENCE` distinct evidence pairs on nodes other than `target`.
+fn evidence_for(target: usize, rng: &mut Xoshiro256pp) -> Vec<(usize, f64)> {
+    let mut evidence: Vec<(usize, f64)> = Vec::with_capacity(EVIDENCE);
+    while evidence.len() < EVIDENCE {
+        let node = rng.next_below(D);
+        if node != target && evidence.iter().all(|&(e, _)| e != node) {
+            evidence.push((node, rng.gaussian()));
+        }
+    }
+    evidence
+}
+
+/// Median over `ENGINE_PASSES` passes of the mean µs per call of `call`
+/// over `queries`; every call must succeed.
+fn engine_us<Q, T>(queries: &[Q], call: impl Fn(&Q) -> least_serve::Result<T>) -> f64 {
+    let mut passes: Vec<f64> = (0..ENGINE_PASSES)
+        .map(|_| {
+            let start = Instant::now();
+            for query in queries {
+                std::hint::black_box(call(query).expect("engine query"));
+            }
+            start.elapsed().as_secs_f64() * 1e6 / queries.len() as f64
+        })
+        .collect();
+    passes.sort_by(f64::total_cmp);
+    passes[ENGINE_PASSES / 2]
+}
+
+/// The engine phase: `(report key, median µs per call)` per query kind.
+fn engine_phase(er: &ModelArtifact) -> Vec<(&'static str, f64)> {
+    let engine = QueryEngine::from_artifact(er).expect("ER model is a DAG");
+    let chain = QueryEngine::from_artifact(&chain_model()).expect("chain is a DAG");
+    let mut rng = Xoshiro256pp::new(0xE9_61E);
+    let nodes: Vec<usize> = (0..ENGINE_QUERIES).map(|_| rng.next_below(D)).collect();
+    let posteriors: Vec<(usize, Vec<(usize, f64)>)> = (0..ENGINE_QUERIES)
+        .map(|_| {
+            let target = rng.next_below(D);
+            (target, evidence_for(target, &mut rng))
+        })
+        .collect();
+    let chain_posteriors: Vec<Vec<(usize, f64)>> = (0..ENGINE_QUERIES)
+        .map(|_| evidence_for(D - 1, &mut rng))
+        .collect();
+    vec![
+        (
+            "engine_us_markov_blanket",
+            engine_us(&nodes, |&v| engine.markov_blanket(v)),
+        ),
+        (
+            "engine_us_marginal",
+            engine_us(&nodes, |&v| engine.marginal(v)),
+        ),
+        (
+            "engine_us_posterior",
+            engine_us(&posteriors, |(t, e)| engine.posterior(*t, e, &[])),
+        ),
+        (
+            "engine_us_posterior_chain",
+            engine_us(&chain_posteriors, |e| chain.posterior(D - 1, e, &[])),
+        ),
+    ]
 }
 
 /// Bit-exactness check: save → load → save must reproduce the stream.
@@ -80,12 +183,18 @@ struct RunStats {
 }
 
 impl RunStats {
-    fn p50_ms(&self) -> f64 {
-        self.latencies[self.latencies.len() / 2] * 1e3
+    /// The latency at index `⌊q·n⌋` of the sorted `n` latencies, in ms.
+    fn quantile_ms(&self, q: f64) -> f64 {
+        let n = self.latencies.len();
+        self.latencies[((q * n as f64) as usize).min(n - 1)] * 1e3
     }
 
-    fn max_ms(&self) -> f64 {
-        self.latencies.last().copied().unwrap_or(0.0) * 1e3
+    fn p50_ms(&self) -> f64 {
+        self.quantile_ms(0.5)
+    }
+
+    fn p99_ms(&self) -> f64 {
+        self.quantile_ms(0.99)
     }
 }
 
@@ -252,6 +361,14 @@ fn main() {
         artifact.to_bytes().len()
     );
 
+    let engine = engine_phase(&artifact);
+    let mut table = Table::new(&["engine query", "µs per call (median pass)"]);
+    for &(key, us) in &engine {
+        table.row(vec![key.trim_start_matches("engine_us_").into(), fmt(us)]);
+    }
+    table.print();
+    println!();
+
     let bytes = artifact.to_bytes();
     let serial = run(&bytes, 1, false);
     let pooled = run(&bytes, pool, false);
@@ -265,7 +382,7 @@ fn main() {
         "seconds",
         "queries/s",
         "p50 ms",
-        "max ms",
+        "p99 ms",
         "writer regs",
     ]);
     for (mode, workers, stats) in [
@@ -279,7 +396,7 @@ fn main() {
             fmt(stats.elapsed),
             fmt(total_queries as f64 / stats.elapsed),
             fmt(stats.p50_ms()),
-            fmt(stats.max_ms()),
+            fmt(stats.p99_ms()),
             stats.writer_registrations.to_string(),
         ]);
     }
@@ -291,41 +408,41 @@ fn main() {
         fmt(contended_p50_ratio)
     );
 
-    least_bench::emit_report(
-        "serve_throughput",
-        "BENCH_serve.json",
-        vec![
-            ("d", JsonValue::Num(D as f64)),
-            ("clients", JsonValue::Num(CLIENTS as f64)),
-            ("queries", JsonValue::Num(total_queries as f64)),
-            ("roundtrip_bit_exact_csr", JsonValue::Bool(exact_sparse)),
-            ("roundtrip_bit_exact_dense", JsonValue::Bool(exact_dense)),
-            ("serial_seconds", JsonValue::Num(serial.elapsed)),
-            (
-                "serial_qps",
-                JsonValue::Num(total_queries as f64 / serial.elapsed),
-            ),
-            ("pooled_workers", JsonValue::Num(pool as f64)),
-            ("pooled_seconds", JsonValue::Num(pooled.elapsed)),
-            (
-                "pooled_qps",
-                JsonValue::Num(total_queries as f64 / pooled.elapsed),
-            ),
-            ("pooled_p50_ms", JsonValue::Num(pooled.p50_ms())),
-            ("pooled_max_ms", JsonValue::Num(pooled.max_ms())),
-            ("contended_seconds", JsonValue::Num(contended.elapsed)),
-            (
-                "contended_qps",
-                JsonValue::Num(total_queries as f64 / contended.elapsed),
-            ),
-            ("contended_p50_ms", JsonValue::Num(contended.p50_ms())),
-            ("contended_max_ms", JsonValue::Num(contended.max_ms())),
-            (
-                "contended_writer_registrations",
-                JsonValue::Num(contended.writer_registrations as f64),
-            ),
-            ("contended_p50_ratio", JsonValue::Num(contended_p50_ratio)),
-            ("speedup", JsonValue::Num(speedup)),
-        ],
-    );
+    let mut fields = vec![
+        ("d", JsonValue::Num(D as f64)),
+        ("clients", JsonValue::Num(CLIENTS as f64)),
+        ("queries", JsonValue::Num(total_queries as f64)),
+        ("roundtrip_bit_exact_csr", JsonValue::Bool(exact_sparse)),
+        ("roundtrip_bit_exact_dense", JsonValue::Bool(exact_dense)),
+    ];
+    fields.extend(engine.iter().map(|&(key, us)| (key, JsonValue::Num(us))));
+    fields.extend([
+        ("serial_seconds", JsonValue::Num(serial.elapsed)),
+        (
+            "serial_qps",
+            JsonValue::Num(total_queries as f64 / serial.elapsed),
+        ),
+        ("pooled_workers", JsonValue::Num(pool as f64)),
+        ("pooled_seconds", JsonValue::Num(pooled.elapsed)),
+        (
+            "pooled_qps",
+            JsonValue::Num(total_queries as f64 / pooled.elapsed),
+        ),
+        ("pooled_p50_ms", JsonValue::Num(pooled.p50_ms())),
+        ("pooled_p99_ms", JsonValue::Num(pooled.p99_ms())),
+        ("contended_seconds", JsonValue::Num(contended.elapsed)),
+        (
+            "contended_qps",
+            JsonValue::Num(total_queries as f64 / contended.elapsed),
+        ),
+        ("contended_p50_ms", JsonValue::Num(contended.p50_ms())),
+        ("contended_p99_ms", JsonValue::Num(contended.p99_ms())),
+        (
+            "contended_writer_registrations",
+            JsonValue::Num(contended.writer_registrations as f64),
+        ),
+        ("contended_p50_ratio", JsonValue::Num(contended_p50_ratio)),
+        ("speedup", JsonValue::Num(speedup)),
+    ]);
+    least_bench::emit_report("serve_throughput", "BENCH_serve.json", fields);
 }

@@ -309,12 +309,6 @@ pub(crate) fn inv_or_zero(v: f64) -> f64 {
     }
 }
 
-/// Per-thread minimum row count for `d×d` row-parallel loops: keeps each
-/// worker above ~16k elements so threading never pessimizes small solves.
-pub(crate) fn dense_row_grain(d: usize) -> usize {
-    ((1 << 14) / d.max(1)).max(1)
-}
-
 /// One level's `S` on a [`DensePattern`] with its row and column sums,
 /// each added in row-major slot order: the order of a full `d×d` sweep,
 /// whose extra terms are exact zeros.

@@ -26,9 +26,7 @@
 //! sweep's (DESIGN.md §2.1); the sparse path orders its sums differently
 //! and agrees to rounding.
 
-use crate::bound::{
-    dense_row_grain, inv_or_zero, SparseBoundForward, SpectralBoundForward, POW_EPS,
-};
+use crate::bound::{inv_or_zero, SparseBoundForward, SpectralBoundForward, POW_EPS};
 use least_linalg::vecops::powf_floored;
 use least_linalg::{par, CsrMatrix, DenseMatrix};
 
@@ -67,9 +65,11 @@ fn xy(r: &[f64], c: &[f64], alpha: f64) -> (Vec<f64>, Vec<f64>) {
 /// `G` is propagated only on the forward's pattern (the nonzeros of `W`):
 /// it is consumed only through `G ∘ S` and `2·G ∘ W`, both zero off it.
 /// Each entry uses the arithmetic of a full `d×d` sweep, and the column
-/// scatter for `z` groups its partial sums over the same row blocks, so
-/// the result equals the full computation exactly (zero entries up to
-/// their sign) at any thread count, in `O(d² + k·(d + nnz))` time.
+/// scatter for `z` runs as one serial pass in row order at every pool
+/// width (only the per-slot `G` update is row-parallel, and it writes
+/// disjoint entries), so the result equals the full computation exactly
+/// (zero entries up to their sign) and does not depend on the thread
+/// count, in `O(d² + k·(d + nnz))` time.
 pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatrix {
     let levels = &fwd.levels;
     let pattern = &fwd.pattern;
@@ -89,44 +89,31 @@ pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatri
     });
 
     // Lemmas 4–5, descending levels.
-    let grain = dense_row_grain(d);
     for j in (1..=k).rev() {
         let level = &levels[j - 1];
         let b = &level.b;
         // z[m] = Σ_p G[p,m]·S[p,m]/b[p]  −  Σ_q G[m,q]·S[m,q]·b[q] / b[m]².
         // One sweep of the pattern feeds both sums. The first scatters
-        // across columns: each row block accumulates a private vector,
-        // combined in block order (deterministic); rows with b[p] = 0 add
-        // exact zeros. The second is a per-row sum, applied afterwards.
-        let partials = par::map_ranges(d, grain, |rows| {
-            let mut local = vec![0.0; d];
-            let mut row_terms = Vec::with_capacity(rows.len());
-            for p in rows {
-                let inv_bp = inv_or_zero(b[p]);
-                let slots = pattern.slots(p);
-                let (g_row, s_row) = (&g[slots.clone()], &level.s[slots]);
-                let mut row_term = 0.0;
-                for (at, cols) in pattern.runs(p) {
-                    let run = g_row[at.clone()].iter().zip(&s_row[at]);
-                    for ((&gv, &sv), (zq, &bq)) in
-                        run.zip(local[cols.clone()].iter_mut().zip(&b[cols]))
-                    {
-                        let gs = gv * sv;
-                        *zq += gs * inv_bp;
-                        row_term += gs * bq;
-                    }
-                }
-                row_terms.push(row_term);
-            }
-            (local, row_terms)
-        });
+        // across columns in one serial pass over the rows, so every z[q]
+        // adds its terms in row order at any pool width; rows with
+        // b[p] = 0 add exact zeros. The second is a per-row sum, applied
+        // afterwards.
         let mut z = vec![0.0; d];
         let mut row_terms = Vec::with_capacity(d);
-        for (local, terms) in partials {
-            for (zq, v) in z.iter_mut().zip(local) {
-                *zq += v;
+        for p in 0..d {
+            let inv_bp = inv_or_zero(b[p]);
+            let slots = pattern.slots(p);
+            let (g_row, s_row) = (&g[slots.clone()], &level.s[slots]);
+            let mut row_term = 0.0;
+            for (at, cols) in pattern.runs(p) {
+                let run = g_row[at.clone()].iter().zip(&s_row[at]);
+                for ((&gv, &sv), (zq, &bq)) in run.zip(z[cols.clone()].iter_mut().zip(&b[cols])) {
+                    let gs = gv * sv;
+                    *zq += gs * inv_bp;
+                    row_term += gs * bq;
+                }
             }
-            row_terms.extend(terms);
+            row_terms.push(row_term);
         }
         for ((zm, &bm), row_term) in z.iter_mut().zip(b).zip(row_terms) {
             let inv_bm2 = inv_or_zero(bm * bm);

@@ -285,19 +285,17 @@ fn reference_backward(levels: &[RefLevel], w: &DenseMatrix, alpha: f64) -> Dense
     for j in (1..=k).rev() {
         let level = &levels[j - 1];
         let b = &level.b;
-        let mut z = par::accumulate_ranges(d, grain, d, |rows| {
-            let mut local = vec![0.0; d];
-            for p in rows {
-                let inv_bp = inv_or_zero(b[p]);
-                if inv_bp == 0.0 {
-                    continue;
-                }
-                for ((zq, &gv), &sv) in local.iter_mut().zip(g.row(p)).zip(level.s.row(p)) {
-                    *zq += gv * sv * inv_bp;
-                }
+        // The column scatter adds its terms in row order at every width.
+        let mut z = vec![0.0; d];
+        for (p, &bp) in b.iter().enumerate() {
+            let inv_bp = inv_or_zero(bp);
+            if inv_bp == 0.0 {
+                continue;
             }
-            local
-        });
+            for ((zq, &gv), &sv) in z.iter_mut().zip(g.row(p)).zip(level.s.row(p)) {
+                *zq += gv * sv * inv_bp;
+            }
+        }
         par::for_each_row_mut(&mut z, 1, grain, |m, zm| {
             let inv_bm2 = inv_or_zero(b[m] * b[m]);
             if inv_bm2 == 0.0 {
@@ -420,3 +418,41 @@ fn golden_two_round_thresholded_fit() {
 /// Recorded on the full-matrix kernels; the same at pool widths 1–3.
 const GOLDEN_NNZ: usize = 97;
 const GOLDEN_HASH: u64 = 0xb730_a056_6be6_6047;
+
+#[test]
+fn golden_d200_fit_is_the_same_at_every_width() {
+    // At d = 200 the backward pass's `z` scatter spans more rows than one
+    // row grain (81), so a scatter split per worker would group its sums
+    // by the pool width. The hash was recorded at width 1; widths 2 and 3
+    // must reproduce it.
+    let d = D;
+    let mut rng = Xoshiro256pp::new(0x0200_0200);
+    let truth = erdos_renyi_dag(d, 2, &mut rng);
+    let w_true = weighted_adjacency_dense(&truth, WeightRange::default(), &mut rng);
+    let x = sample_lsem(&w_true, 1000, NoiseModel::standard_gaussian(), &mut rng).unwrap();
+    let stats = SufficientStats::from_dataset(&Dataset::new(x), Preprocess::Center).unwrap();
+    let config = LeastConfig {
+        lambda: 0.05,
+        theta: 0.05,
+        max_outer: 2,
+        max_inner: 20,
+        inner_tol: 0.0,
+        epsilon: 1e-12,
+        seed: 23,
+        ..Default::default()
+    };
+    at_each_width(|width| {
+        let fit = LeastDense::new(config).unwrap().fit_stats(&stats).unwrap();
+        let nnz = fit.weights.count_nonzero(0.0);
+        let hash = fnv1a64(&fit.weights);
+        assert_eq!(
+            (fit.rounds, nnz, hash),
+            (2, GOLDEN_D200_NNZ, GOLDEN_D200_HASH),
+            "width {width}: got nnz {nnz}, hash {hash:#018x}"
+        );
+    });
+}
+
+/// Recorded at pool width 1, where the scatter already ran as one block.
+const GOLDEN_D200_NNZ: usize = 308;
+const GOLDEN_D200_HASH: u64 = 0xcac4_b48d_1848_12a4;

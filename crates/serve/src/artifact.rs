@@ -125,6 +125,11 @@ impl ModelArtifact {
                 noise_vars.len()
             )));
         }
+        // Finite intercepts also let inference skip the exact-zero terms of
+        // nodes outside a query's closure (`query` module doc).
+        if intercepts.iter().any(|v| !v.is_finite()) {
+            return Err(ServeError::Malformed("intercepts must be finite".into()));
+        }
         if noise_vars.iter().any(|&v| !v.is_finite() || v < 0.0) {
             return Err(ServeError::Malformed(
                 "noise variances must be finite and non-negative".into(),
@@ -390,6 +395,19 @@ mod tests {
         assert!(ModelArtifact::new(w.clone(), vec![0.0; 2], vec![1.0; 3], meta.clone()).is_err());
         assert!(ModelArtifact::new(w.clone(), vec![0.0; 3], vec![-1.0; 3], meta.clone()).is_err());
         assert!(ModelArtifact::new(w, vec![0.0; 3], vec![f64::NAN; 3], meta).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_intercepts() {
+        let meta = ModelMeta {
+            threshold: 0.0,
+            fingerprint: String::new(),
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let w = WeightMatrix::Dense(DenseMatrix::zeros(2, 2));
+            let err = ModelArtifact::new(w, vec![0.0, bad], vec![1.0; 2], meta.clone());
+            assert!(matches!(err, Err(ServeError::Malformed(_))), "{bad}");
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@ pub enum ServeError {
     /// A query's evidence/intervention sets are contradictory (duplicate
     /// or overlapping nodes).
     InvalidQuery(String),
+    /// A query carries more evidence plus `do(·)` pairs than the server
+    /// answers in one request.
+    QueryTooLarge { pairs: usize, limit: usize },
     /// The evidence covariance is singular, so exact conditioning is
     /// undefined (e.g. deterministic or duplicated evidence nodes).
     DegenerateEvidence,
@@ -48,6 +51,10 @@ impl fmt::Display for ServeError {
                 write!(f, "node {node} out of range for a {d}-variable model")
             }
             ServeError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
+            ServeError::QueryTooLarge { pairs, limit } => write!(
+                f,
+                "query has {pairs} evidence/do pairs; the limit is {limit}"
+            ),
             ServeError::DegenerateEvidence => {
                 write!(f, "evidence covariance is singular; cannot condition")
             }

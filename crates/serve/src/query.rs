@@ -16,26 +16,53 @@
 //! ```
 //!
 //! where `r_t[j]` is the **total path weight** from `j` to `t` — the
-//! `(j, t)` entry of `(I − W)⁻¹`. Instead of inverting, one reverse pass
-//! over the topological order accumulates `r_t` through the parent lists
-//! in `O(d + nnz)` (truncated at intervened nodes, whose incoming edges
-//! are cut by the do-calculus mutilation). Means, variances and
-//! covariances then reduce to dot products over the source terms:
+//! `(j, t)` entry of `(I − W)⁻¹`. It is nonzero only on the ancestor
+//! closure `A` of the query's target and evidence nodes in the mutilated
+//! graph (the walk up the parent lists stops at intervened nodes, whose
+//! incoming edges the do-calculus cuts). So instead of inverting, one
+//! pass over `A` in descending topological position accumulates all
+//! `k+1` vectors `r_t` through the parent lists, and means, variances
+//! and covariances reduce to sums over `A`:
 //!
 //! ```text
-//! E[X_a]       = Σ_j r_a[j]·c_j'          Cov(X_a, X_b) = Σ_j r_a[j]·r_b[j]·σⱼ²'
+//! E[X_a]       = Σ_{j∈A} r_a[j]·c_j'          Cov(X_a, X_b) = Σ_{j∈A} r_a[j]·r_b[j]·σⱼ²'
 //! ```
 //!
 //! Conditioning on evidence `E = e` is the exact Gaussian formula on the
 //! small `(1+k)×(1+k)` joint of `{target} ∪ E`, solved with the in-tree
-//! LU. Total cost per query: `O((k+1)·(d + nnz) + k³)` — independent of
-//! sample size, linear in model size, which is what lets a d=10⁵ sparse
-//! model answer in microseconds.
+//! LU. The pass over `A` is a max-heap over topological positions holding
+//! one entry per edge into `A`, so with `e_A` such edges a query costs
+//! `O((k+1)·(|A| + e_A) + (k + e_A)·log(k + e_A) + k³)` — no term in `d`
+//! and none in the sample size: a query pays for the part of the model it
+//! touches, so a d = 1000 ER-2 posterior answers in microseconds and a
+//! large sparse model answers as fast as its closures are small. The
+//! structural closures (`ancestors`, `descendants`, `markov_blanket`)
+//! likewise cost what they visit, times a log factor for the heap and the
+//! final sort.
+//!
+//! ## Bit-identity with the `O(d)` formulation
+//!
+//! Each answer has the bits of the formulation that walks all `d` nodes
+//! once per path vector and sums over all `d` nodes: every path weight
+//! receives the same `w·r` updates in the same order (its nonzero entries
+//! lie in `A`, and the heap hands each node its children's contributions
+//! in descending topological position, as the full reverse sweep does);
+//! every sum adds the same terms in ascending node order starting at
+//! `−0.0` (as `f64`'s `Sum` does); and the terms it skips are those of
+//! nodes outside `A`, each exactly `±0` because `r[j] = +0` there and
+//! intercepts (checked by `ModelArtifact::new`), noise variances and `do`
+//! values are finite. Adding `±0`
+//! can change only the sign of a zero total, so means and variances
+//! compare `==`, with identical bits whenever nonzero.
+//! `crates/serve/tests/query_reference.rs` keeps the `O(d)` code as the
+//! reference and checks this on dense and CSR models up to d = 1000.
 
 use crate::artifact::{ModelArtifact, WeightMatrix};
 use crate::error::{Result, ServeError};
 use least_graph::{parent_lists_dense, parent_lists_sparse, DiGraph};
 use least_linalg::{lu::LuFactorization, DenseMatrix, LinalgError};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BinaryHeap;
 
 /// A (mean, variance) pair — every inference answer is a 1-D Gaussian.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,6 +90,8 @@ pub struct QueryEngine {
     intercepts: Vec<f64>,
     noise_vars: Vec<f64>,
     order: Vec<usize>,
+    /// `pos[v]` = position of `v` in `order`.
+    pos: Vec<u32>,
 }
 
 impl QueryEngine {
@@ -84,6 +113,10 @@ impl QueryEngine {
         }
         graph.normalize();
         let order = graph.topological_sort().ok_or(ServeError::CyclicModel)?;
+        let mut pos = vec![0; d];
+        for (at, &v) in order.iter().enumerate() {
+            pos[v] = at as u32;
+        }
         Ok(Self {
             d,
             parents,
@@ -91,6 +124,7 @@ impl QueryEngine {
             intercepts: artifact.intercepts.clone(),
             noise_vars: artifact.noise_vars.clone(),
             order,
+            pos,
         })
     }
 
@@ -123,41 +157,22 @@ impl QueryEngine {
         Ok(self.children[v].iter().map(|&c| c as usize).collect())
     }
 
-    /// All ancestors of `v` (excluding `v`), ascending. DFS over parent
-    /// lists — the transitive "possible root causes" set the monitoring
-    /// application queries. `O(d + nnz)`, no per-node allocation.
+    /// All ancestors of `v` (excluding `v`), ascending — the transitive
+    /// "possible root causes" set the monitoring application queries.
+    /// `O(e log e)` for the `e` edges into `v` and its ancestors.
     pub fn ancestors(&self, v: usize) -> Result<Vec<usize>> {
         self.check_node(v)?;
-        let mut seen = vec![false; self.d];
-        let mut stack = vec![v];
-        while let Some(n) = stack.pop() {
-            for &(u, _) in &self.parents[n] {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    stack.push(u as usize);
-                }
-            }
-        }
-        seen[v] = false;
-        Ok((0..self.d).filter(|&n| seen[n]).collect())
+        Ok(self.reach(v, true, |n| {
+            self.parents[n].iter().map(|&(u, _)| u as usize)
+        }))
     }
 
     /// All descendants of `v` (excluding `v`), ascending — the downstream
-    /// impact set of an intervention at `v`. `O(d + nnz)`.
+    /// impact set of an intervention at `v`. `O(e log e)` for the `e`
+    /// edges out of `v` and its descendants.
     pub fn descendants(&self, v: usize) -> Result<Vec<usize>> {
         self.check_node(v)?;
-        let mut seen = vec![false; self.d];
-        let mut stack = vec![v];
-        while let Some(n) = stack.pop() {
-            for &c in &self.children[n] {
-                if !seen[c as usize] {
-                    seen[c as usize] = true;
-                    stack.push(c as usize);
-                }
-            }
-        }
-        seen[v] = false;
-        Ok((0..self.d).filter(|&n| seen[n]).collect())
+        Ok(self.reach(v, false, |n| self.children[n].iter().map(|&c| c as usize)))
     }
 
     /// Markov blanket of `v`: parents ∪ children ∪ co-parents of its
@@ -166,18 +181,15 @@ impl QueryEngine {
     /// minimal feature set a downstream consumer needs.
     pub fn markov_blanket(&self, v: usize) -> Result<Vec<usize>> {
         self.check_node(v)?;
-        let mut seen = vec![false; self.d];
-        for &(u, _) in &self.parents[v] {
-            seen[u as usize] = true;
-        }
+        let mut blanket: Vec<usize> = self.parents[v].iter().map(|&(u, _)| u as usize).collect();
         for &c in &self.children[v] {
-            seen[c as usize] = true;
-            for &(co, _) in &self.parents[c as usize] {
-                seen[co as usize] = true;
-            }
+            blanket.push(c as usize);
+            blanket.extend(self.parents[c as usize].iter().map(|&(co, _)| co as usize));
         }
-        seen[v] = false;
-        Ok((0..self.d).filter(|&n| seen[n]).collect())
+        blanket.sort_unstable();
+        blanket.dedup();
+        blanket.retain(|&n| n != v);
+        Ok(blanket)
     }
 
     /// Marginal distribution of `v` with no evidence.
@@ -198,89 +210,57 @@ impl QueryEngine {
         interventions: &[(usize, f64)],
     ) -> Result<Gaussian> {
         self.check_node(target)?;
-        let mut role = vec![NodeRole::Free; self.d];
-        let mut do_value = vec![0.0; self.d];
-        for &(v, x) in interventions {
-            self.check_node(v)?;
-            if !x.is_finite() {
-                return Err(ServeError::InvalidQuery(format!(
-                    "non-finite intervention value for node {v}"
-                )));
-            }
-            if role[v] != NodeRole::Free {
-                return Err(ServeError::InvalidQuery(format!(
-                    "node {v} intervened on twice"
-                )));
-            }
-            role[v] = NodeRole::Intervened;
-            do_value[v] = x;
-        }
-        for &(v, x) in evidence {
-            self.check_node(v)?;
-            if !x.is_finite() {
-                return Err(ServeError::InvalidQuery(format!(
-                    "non-finite evidence value for node {v}"
-                )));
-            }
-            match role[v] {
-                NodeRole::Free => role[v] = NodeRole::Observed,
-                NodeRole::Observed => {
-                    return Err(ServeError::InvalidQuery(format!("node {v} observed twice")))
-                }
-                NodeRole::Intervened => {
-                    return Err(ServeError::InvalidQuery(format!(
-                        "node {v} is both evidence and intervention"
-                    )))
-                }
-            }
-        }
-        if role[target] == NodeRole::Intervened {
-            return Ok(Gaussian {
-                mean: do_value[target],
-                variance: 0.0,
-            });
-        }
-        if let NodeRole::Observed = role[target] {
-            let &(_, x) = evidence
-                .iter()
-                .find(|&&(v, _)| v == target)
-                .expect("target marked observed");
+        let fixed = self.fixed_nodes(evidence, interventions)?;
+        if let Some(&(Fixed::Intervened(x) | Fixed::Observed(x))) = fixed.get(&target) {
             return Ok(Gaussian {
                 mean: x,
                 variance: 0.0,
             });
         }
+        let do_value = |v: usize| {
+            if interventions.is_empty() {
+                return None; // `fixed` holds evidence only
+            }
+            match fixed.get(&v) {
+                Some(&Fixed::Intervened(x)) => Some(x),
+                _ => None,
+            }
+        };
 
-        // Path-weight vectors for the target and every evidence node.
-        let nodes: Vec<usize> = std::iter::once(target)
-            .chain(evidence.iter().map(|&(v, _)| v))
+        // Path-weight vectors for the target (column 0) and every evidence
+        // node over the closure, then every mean and (upper-triangle)
+        // covariance in one pass in ascending node order. Source-term
+        // means: intercept for free/observed nodes, the pinned value for
+        // intervened nodes (whose noise is cut).
+        let m = evidence.len() + 1;
+        let sources = std::iter::once(target).chain(evidence.iter().map(|&(v, _)| v));
+        let (nodes, r) = self.path_weights(sources, m, &|v| do_value(v).is_some());
+        let mut by_node: Vec<u64> = (nodes.iter().enumerate())
+            .map(|(slot, &v)| ((v as u64) << 32) | slot as u64)
             .collect();
-        let paths: Vec<Vec<f64>> = nodes.iter().map(|&a| self.path_weights(a, &role)).collect();
+        by_node.sort_unstable();
+        let mut means = vec![-0.0; m];
+        let mut cov = vec![-0.0; m * m];
+        for key in by_node {
+            let (j, slot) = ((key >> 32) as usize, key as u32 as usize);
+            let row = &r[slot * m..(slot + 1) * m];
+            if let Some(x) = do_value(j) {
+                for (mean, &rj) in means.iter_mut().zip(row) {
+                    *mean += rj * x;
+                }
+                continue;
+            }
+            let (c, s2) = (self.intercepts[j], self.noise_vars[j]);
+            for (a, &ra) in row.iter().enumerate() {
+                means[a] += ra * c;
+                for (acc, &rb) in cov[a * m + a..(a + 1) * m].iter_mut().zip(&row[a..]) {
+                    *acc += ra * rb * s2;
+                }
+            }
+        }
 
-        // Source-term means: intercept for free/observed nodes, the pinned
-        // value for intervened nodes (whose noise is cut).
-        let mean_of = |r: &[f64]| -> f64 {
-            r.iter()
-                .enumerate()
-                .map(|(j, &rj)| {
-                    rj * match role[j] {
-                        NodeRole::Intervened => do_value[j],
-                        _ => self.intercepts[j],
-                    }
-                })
-                .sum()
-        };
-        let cov_of = |ra: &[f64], rb: &[f64]| -> f64 {
-            ra.iter()
-                .zip(rb)
-                .enumerate()
-                .filter(|&(j, _)| role[j] != NodeRole::Intervened)
-                .map(|(j, (&a, &b))| a * b * self.noise_vars[j])
-                .sum()
-        };
-
-        let mu_t = mean_of(&paths[0]);
-        let var_t = cov_of(&paths[0], &paths[0]);
+        let mu_t = means[0];
+        let var_t = cov[0];
         if evidence.is_empty() {
             return Ok(Gaussian {
                 mean: mu_t,
@@ -290,8 +270,8 @@ impl QueryEngine {
 
         // Exact Gaussian conditioning on the (1+k)-dimensional joint.
         let k = evidence.len();
-        let sigma_ee = DenseMatrix::from_fn(k, k, |i, j| cov_of(&paths[i + 1], &paths[j + 1]));
-        let sigma_te: Vec<f64> = (0..k).map(|i| cov_of(&paths[0], &paths[i + 1])).collect();
+        let sigma_ee = DenseMatrix::from_fn(k, k, |i, j| cov[(i.min(j) + 1) * m + i.max(j) + 1]);
+        let sigma_te: Vec<f64> = cov[1..m].to_vec();
         let beta = match LuFactorization::new(&sigma_ee).and_then(|lu| lu.solve_vec(&sigma_te)) {
             Ok(beta) => beta,
             Err(LinalgError::Singular { .. }) => return Err(ServeError::DegenerateEvidence),
@@ -299,9 +279,8 @@ impl QueryEngine {
         };
         let mut mean = mu_t;
         let mut variance = var_t;
-        for (i, &(v, x)) in evidence.iter().enumerate() {
-            debug_assert_eq!(nodes[i + 1], v);
-            mean += beta[i] * (x - mean_of(&paths[i + 1]));
+        for (i, &(_, x)) in evidence.iter().enumerate() {
+            mean += beta[i] * (x - means[i + 1]);
             variance -= beta[i] * sigma_te[i];
         }
         Ok(Gaussian {
@@ -310,32 +289,154 @@ impl QueryEngine {
         })
     }
 
-    /// Total path weight from every node into `target` under the mutilated
-    /// graph: one reverse-topological accumulation through the parent
-    /// lists, `O(d + nnz)`. Intervened nodes keep their own entry but do
-    /// not propagate to their parents (their incoming edges are cut).
-    fn path_weights(&self, target: usize, role: &[NodeRole]) -> Vec<f64> {
-        let mut contrib = vec![0.0; self.d];
-        contrib[target] = 1.0;
-        for &v in self.order.iter().rev() {
-            let cv = contrib[v];
-            if cv == 0.0 || role[v] == NodeRole::Intervened {
-                continue;
+    /// Validate a query's evidence and interventions and map each fixed
+    /// node to its role and value. Checks run in argument order,
+    /// interventions first, so the first offending pair names the error.
+    fn fixed_nodes(
+        &self,
+        evidence: &[(usize, f64)],
+        interventions: &[(usize, f64)],
+    ) -> Result<BTreeMap<usize, Fixed>> {
+        let mut fixed = BTreeMap::new();
+        for &(v, x) in interventions {
+            self.check_node(v)?;
+            if !x.is_finite() {
+                return Err(ServeError::InvalidQuery(format!(
+                    "non-finite intervention value for node {v}"
+                )));
             }
-            for &(u, w) in &self.parents[v] {
-                contrib[u as usize] += w * cv;
+            if fixed.insert(v, Fixed::Intervened(x)).is_some() {
+                return Err(ServeError::InvalidQuery(format!(
+                    "node {v} intervened on twice"
+                )));
             }
         }
-        contrib
+        for &(v, x) in evidence {
+            self.check_node(v)?;
+            if !x.is_finite() {
+                return Err(ServeError::InvalidQuery(format!(
+                    "non-finite evidence value for node {v}"
+                )));
+            }
+            match fixed.entry(v) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Fixed::Observed(x));
+                }
+                Entry::Occupied(slot) => {
+                    return Err(ServeError::InvalidQuery(match slot.get() {
+                        Fixed::Observed(_) => format!("node {v} observed twice"),
+                        Fixed::Intervened(_) => {
+                            format!("node {v} is both evidence and intervention")
+                        }
+                    }))
+                }
+            }
+        }
+        Ok(fixed)
+    }
+
+    /// Total path weights into each of the `m` distinct, non-intervened
+    /// `sources` from every node of their ancestor closure in the
+    /// mutilated graph (the walk does not pass through `intervened`
+    /// nodes). Returns the closure's nodes in descending topological
+    /// position and `r`, where `r[slot·m + i]` is the weight from
+    /// `nodes[slot]` into source `i`.
+    ///
+    /// A max-heap pops the closure in descending position; each entry is
+    /// a source or an edge `child → parent` keyed by the parent's position,
+    /// then by the child's slot, so a node is complete when it is popped
+    /// and receives `w·r[child]` from its children in descending child
+    /// position: the same updates, in the same order, as a reverse sweep
+    /// of the whole topological order for each source alone.
+    fn path_weights(
+        &self,
+        sources: impl Iterator<Item = usize>,
+        m: usize,
+        intervened: &impl Fn(usize) -> bool,
+    ) -> (Vec<usize>, Vec<f64>) {
+        // Key: position (high half), then u32::MAX for a source, else
+        // u32::MAX − 1 − child slot. Payload: the source's column, or the
+        // edge weight's bits.
+        const SOURCE: u32 = u32::MAX;
+        let mut heap: BinaryHeap<(u64, u64)> = sources
+            .enumerate()
+            .map(|(i, v)| (u64::from(self.pos[v]) << 32 | u64::from(SOURCE), i as u64))
+            .collect();
+        let mut nodes = Vec::new();
+        let mut r: Vec<f64> = Vec::new();
+        while let Some(&(key, _)) = heap.peek() {
+            let at = key >> 32;
+            let slot = nodes.len();
+            let v = self.order[at as usize];
+            nodes.push(v);
+            r.resize(r.len() + m, 0.0);
+            while let Some(&(key, payload)) = heap.peek().filter(|&&(key, _)| key >> 32 == at) {
+                heap.pop();
+                let tag = key as u32;
+                if tag == SOURCE {
+                    r[slot * m + payload as usize] = 1.0;
+                    continue;
+                }
+                let (w, child) = (f64::from_bits(payload), (SOURCE - 1 - tag) as usize);
+                for i in 0..m {
+                    let cv = r[child * m + i];
+                    if cv != 0.0 {
+                        r[slot * m + i] += w * cv;
+                    }
+                }
+            }
+            if !intervened(v) {
+                let tag = u64::from(SOURCE - 1 - slot as u32);
+                heap.extend(
+                    self.parents[v]
+                        .iter()
+                        .map(|&(u, w)| (u64::from(self.pos[u as usize]) << 32 | tag, w.to_bits())),
+                );
+            }
+        }
+        (nodes, r)
+    }
+
+    /// Every node reachable from `v` along `step` (excluding `v`),
+    /// ascending. A heap pops the nodes in topological order away from
+    /// `v` — descending position for `ancestors` (`upward`), ascending
+    /// for `descendants` — so each node's duplicate entries pop together
+    /// and are dropped without a visited set.
+    fn reach<I: Iterator<Item = usize>>(
+        &self,
+        v: usize,
+        upward: bool,
+        step: impl Fn(usize) -> I,
+    ) -> Vec<usize> {
+        let key = |n: usize| {
+            let at = self.pos[n];
+            if upward {
+                at
+            } else {
+                u32::MAX - at
+            }
+        };
+        let mut heap: BinaryHeap<u32> = step(v).map(key).collect();
+        let mut out = Vec::new();
+        while let Some(top) = heap.pop() {
+            if out.last().map(|&n| key(n)) == Some(top) {
+                continue;
+            }
+            let at = if upward { top } else { u32::MAX - top };
+            let n = self.order[at as usize];
+            out.push(n);
+            heap.extend(step(n).map(key));
+        }
+        out.sort_unstable();
+        out
     }
 }
 
-/// How a query fixes (or not) each node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeRole {
-    Free,
-    Observed,
-    Intervened,
+/// How a query fixes a node, and to which value.
+#[derive(Debug, Clone, Copy)]
+enum Fixed {
+    Observed(f64),
+    Intervened(f64),
 }
 
 #[cfg(test)]

@@ -38,6 +38,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+/// Most evidence plus `do(·)` pairs one query may carry. Conditioning
+/// costs `O(k³)` in the pair count `k`, so without a bound a 10 KB body
+/// could hold a worker for seconds; 64 pairs answer in under a
+/// millisecond on a d = 1000 model.
+const MAX_QUERY_PAIRS: usize = 64;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -524,6 +530,19 @@ fn answer_query(engine: &QueryEngine, body: &[u8]) -> Result<JsonValue, String> 
     };
 
     let err = |e: ServeError| e.to_string();
+    let pair_count = |key: &str| {
+        query
+            .get(key)
+            .and_then(JsonValue::as_array)
+            .map_or(0, <[_]>::len)
+    };
+    let pairs_in_query = pair_count("evidence") + pair_count("do");
+    if pairs_in_query > MAX_QUERY_PAIRS {
+        return Err(err(ServeError::QueryTooLarge {
+            pairs: pairs_in_query,
+            limit: MAX_QUERY_PAIRS,
+        }));
+    }
     let nodes_answer = |label: &str, nodes: Vec<usize>| {
         JsonValue::obj(vec![
             ("kind", JsonValue::Str(label.into())),
@@ -614,6 +633,32 @@ mod tests {
         .unwrap();
         assert_eq!(out.get("mean").and_then(JsonValue::as_f64), Some(6.0));
         assert_eq!(out.get("variance").and_then(JsonValue::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn answer_query_bounds_the_pair_count() {
+        let e = engine();
+        let query = |evidence: usize, interventions: usize| {
+            let pairs = |n: usize| vec!["[1,0.5]"; n].join(",");
+            format!(
+                r#"{{"kind":"posterior","target":0,"evidence":[{}],"do":[{}]}}"#,
+                pairs(evidence),
+                pairs(interventions)
+            )
+        };
+        // At the limit the query is decoded and answered (here: rejected
+        // by the engine for its duplicate node, not for its size).
+        let at_limit = answer_query(&e, query(MAX_QUERY_PAIRS - 1, 1).as_bytes()).unwrap_err();
+        assert!(!at_limit.contains("limit"), "{at_limit}");
+        for (evidence, interventions) in [(MAX_QUERY_PAIRS + 1, 0), (MAX_QUERY_PAIRS, 1), (0, 999)]
+        {
+            let msg = answer_query(&e, query(evidence, interventions).as_bytes()).unwrap_err();
+            let want = ServeError::QueryTooLarge {
+                pairs: evidence + interventions,
+                limit: MAX_QUERY_PAIRS,
+            };
+            assert_eq!(msg, want.to_string());
+        }
     }
 
     #[test]
