@@ -15,12 +15,16 @@
 //!
 //! A third workload, **dense d=200 thresholded**, fits from sufficient
 //! statistics for two fixed rounds at θ = 0.05 and reports the time per
-//! inner iteration of each round: round 0 trains the dense iterate,
-//! round 1 the θ-thresholded one. Beside the times it records the Gram
-//! loss's multiply-adds per iteration — `d³` for the full `G·W` product,
-//! `d·nnz(W)` for the nonzero products of the gather the solver runs (its
+//! inner iteration of each round. Round 0 trains the dense iterate until
+//! its filter starts (DESIGN.md §6); from the first filter on the solver
+//! iterates on `W`'s support. Beside the times it records, per round,
+//! machine-independent counts: the iteration the filter started at, the
+//! iterations whose loss ran on the dense iterate and on the support, and
+//! the Gram loss's multiply-adds as the solver counts them — `d·nnz(W)`
+//! per dense iteration (the nonzero products of the tiled gather, whose
 //! 4 × 8 tiles also multiply the zeros of each 4-column block of `W` they
-//! visit, which adds time but no value).
+//! visit), `Σ_l nnz_l²` per support iteration — next to the `d³` per
+//! iteration of the full `G·W` product.
 //!
 //! In a `--no-default-features` build the pool is compile-time 1, so both
 //! measurements coincide and `parallel_feature` records the fact.
@@ -132,25 +136,55 @@ impl Thresholded {
     }
 
     /// Best-of-`REPS` seconds per inner iteration of rounds 0 and 1, and
-    /// `nnz(W)` at the end of each round.
-    fn per_round(&self) -> ([f64; 2], [usize; 2]) {
+    /// each round's counts (the same in every repetition).
+    fn per_round(&self) -> ([f64; 2], [RoundCounts; 2]) {
         let solver = LeastDense::new(self.cfg).expect("config");
         let mut best = [f64::INFINITY; 2];
-        let mut nnz = [0; 2];
+        let mut counts = [RoundCounts::default(); 2];
         for _ in 0..REPS {
             let fit = solver.fit_stats(&self.stats).expect("fit");
             let points = fit.trace.points();
             assert_eq!(points.len(), 2, "two fixed rounds");
             let ends = [points[0].elapsed, points[1].elapsed];
             let rounds = [ends[0], ends[1] - ends[0]];
+            let mut on_support = false;
             for r in 0..2 {
-                let per_iter = rounds[r].as_secs_f64() / self.cfg.max_inner as f64;
-                best[r] = best[r].min(per_iter);
-                nnz[r] = points[r].nnz;
+                let p = &points[r];
+                best[r] = best[r].min(rounds[r].as_secs_f64() / p.inner_iters as f64);
+                // The dense backend moves to the support at its first
+                // filter; that iteration's loss still ran dense.
+                let dense_iters = match (on_support, p.filter_from) {
+                    (true, _) => 0,
+                    (false, Some(first)) => first + 1,
+                    (false, None) => p.inner_iters,
+                };
+                on_support |= p.filter_from.is_some();
+                counts[r] = RoundCounts {
+                    nnz: p.nnz,
+                    filter_from: p.filter_from,
+                    dense_iters,
+                    support_iters: p.inner_iters - dense_iters,
+                    loss_madds: p.loss_madds,
+                };
             }
         }
-        (best, nnz)
+        (best, counts)
     }
+}
+
+/// One round's machine-independent counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct RoundCounts {
+    /// `nnz(W)` at the end of the round.
+    nnz: usize,
+    /// First filtered iteration of the round.
+    filter_from: Option<usize>,
+    /// Iterations whose loss ran on the dense iterate.
+    dense_iters: usize,
+    /// Iterations whose loss ran on `W`'s support.
+    support_iters: usize,
+    /// The loss's multiply-adds over the round.
+    loss_madds: u64,
 }
 
 fn main() {
@@ -195,34 +229,47 @@ fn main() {
     let mut table = Table::new(&[
         "round",
         "nnz(W)",
+        "filter from",
+        "dense iters",
+        "support iters",
         "serial_ms",
         "parallel_ms",
-        "loss madds d³",
-        "loss madds d·nnz",
+        "loss madds",
+        "full G·W madds",
     ]);
     par::set_thread_override(Some(1));
-    let (serial, nnz) = thresholded.per_round();
+    let (serial, counts) = thresholded.per_round();
     par::set_thread_override(None);
     let (parallel, _) = thresholded.per_round();
     let mut rounds = Vec::new();
     for r in 0..2 {
-        let full = d.pow(3);
-        let gathered = d * nnz[r];
+        let c = counts[r];
+        let full = (d.pow(3) * (c.dense_iters + c.support_iters)) as u64;
+        let filter_from = c.filter_from.map_or("-".into(), |it| it.to_string());
         table.row(vec![
             r.to_string(),
-            nnz[r].to_string(),
+            c.nnz.to_string(),
+            filter_from,
+            c.dense_iters.to_string(),
+            c.support_iters.to_string(),
             fmt(serial[r] * 1e3),
             fmt(parallel[r] * 1e3),
+            c.loss_madds.to_string(),
             full.to_string(),
-            gathered.to_string(),
         ]);
+        let filter_from = c
+            .filter_from
+            .map_or(JsonValue::Null, |it| JsonValue::Num(it as f64));
         rounds.push(JsonValue::obj(vec![
             ("round", JsonValue::Num(r as f64)),
-            ("nnz", JsonValue::Num(nnz[r] as f64)),
+            ("nnz", JsonValue::Num(c.nnz as f64)),
+            ("filter_from", filter_from),
+            ("dense_iters", JsonValue::Num(c.dense_iters as f64)),
+            ("support_iters", JsonValue::Num(c.support_iters as f64)),
             ("serial_ms_per_iter", JsonValue::Num(serial[r] * 1e3)),
             ("parallel_ms_per_iter", JsonValue::Num(parallel[r] * 1e3)),
+            ("loss_madds", JsonValue::Num(c.loss_madds as f64)),
             ("loss_madds_full_product", JsonValue::Num(full as f64)),
-            ("loss_madds_gathered", JsonValue::Num(gathered as f64)),
         ]));
     }
     table.print();

@@ -12,6 +12,15 @@
 //! on mini-batch residuals otherwise; `fit_stats` always trains from the
 //! statistics' `G`. A full-batch `fit` and `fit_stats` on the same data
 //! therefore give identical weights.
+//!
+//! From the first θ-filter on, the backend keeps the sorted flat indices
+//! of `W`'s nonzeros, its *support*, and touches nothing else: the loss
+//! (`GramLoss::support_value_and_grad`), the constraint
+//! ([`Acyclicity::value_and_gradient_at`]), the penalty axpy, Adam (its
+//! moments compacted with the support) and the filter all cost `O(nnz)`
+//! or so rather than `O(d²)`. An entry the filter zeroes leaves the
+//! support for good, as in the sparse backend (DESIGN.md §4). Before the
+//! first filter the iterate is dense and the tiled dense kernels run.
 
 use crate::config::LeastConfig;
 use crate::constraint::Acyclicity;
@@ -19,7 +28,7 @@ use crate::engine::{self, Learned, LeastSolver, WeightBackend, H_SCC_CAP};
 use crate::loss::{batch_value_and_grad, GramLoss, Loss};
 use least_data::{Dataset, SufficientStats};
 use least_graph::{sparse_h, DiGraph};
-use least_linalg::{init, CsrMatrix, DenseMatrix, Result, Xoshiro256pp};
+use least_linalg::{init, CsrMatrix, DenseMatrix, LinalgError, Result, Xoshiro256pp};
 use least_optim::AdamState;
 
 /// Marker type selecting the dense backend.
@@ -80,7 +89,9 @@ impl LeastDense {
     /// (or exist at all — statistics are typically the product of a
     /// one-pass out-of-core ingestion; see `least-ingest` / DESIGN.md §9).
     /// Per-iteration cost is `O(d² + d·nnz(W))` — `O(d³)` only while `W`
-    /// is still dense — independent of `n` (DESIGN.md §2.1).
+    /// is still dense — until the θ-filter first runs and
+    /// `O(d + Σ_l nnz_l² + k·nnz)` after it, independent of `n`
+    /// (DESIGN.md §2.1).
     pub fn fit_stats(&self, stats: &SufficientStats) -> Result<LearnedDense> {
         let cfg = self.config();
         let bound = crate::SpectralBound::new(cfg.k, cfg.alpha)?;
@@ -105,12 +116,20 @@ impl LeastDense {
     }
 }
 
-/// Live dense engine state: the iterate, its loss and its constraint.
+/// Live dense engine state: the iterate, its support once filtered, its
+/// loss and its constraint.
 struct DenseState<'a> {
     w: DenseMatrix,
+    /// Sorted row-major flat indices of `w`'s nonzeros, from the first
+    /// filter on; `None` while the iterate is dense. The optimizer's
+    /// parameters (and every `Grad`) are `w`'s entries at these indices,
+    /// or all `d²` entries while `None`.
+    support: Option<Vec<u32>>,
     loss: Loss<'a>,
     constraint: &'a dyn Acyclicity,
     lambda: f64,
+    /// Multiply-adds of the last loss evaluation.
+    loss_madds: u64,
 }
 
 impl<'a> DenseState<'a> {
@@ -126,54 +145,158 @@ impl<'a> DenseState<'a> {
             None => init::glorot_dense(d, rng),
         };
         w.zero_diagonal();
+        Self::at(w, loss, constraint, cfg.lambda)
+    }
+
+    /// The state at iterate `w`, dense until its first filter.
+    fn at(
+        w: DenseMatrix,
+        loss: Loss<'a>,
+        constraint: &'a dyn Acyclicity,
+        lambda: f64,
+    ) -> Result<Self> {
+        // The support indexes `W` row-major with `u32`s.
+        if u32::try_from(w.rows() * w.cols()).is_err() {
+            return Err(LinalgError::InvalidArgument(format!(
+                "a {}×{} iterate is too large for the dense backend",
+                w.rows(),
+                w.cols()
+            )));
+        }
         Ok(Self {
             w,
+            support: None,
             loss,
             constraint,
-            lambda: cfg.lambda,
+            lambda,
+            loss_madds: 0,
         })
     }
 }
 
 impl WeightBackend for DenseState<'_> {
     type Weights = DenseMatrix;
-    type Grad = DenseMatrix;
+    /// Parallel to the parameters: all `d²` entries row-major, or the
+    /// support's.
+    type Grad = Vec<f64>;
 
     fn num_params(&self) -> usize {
-        self.w.rows() * self.w.cols()
+        match &self.support {
+            Some(support) => support.len(),
+            None => self.w.rows() * self.w.cols(),
+        }
     }
 
-    fn constraint_value_and_grad(&mut self) -> Result<(f64, DenseMatrix)> {
-        self.constraint.value_and_gradient(&self.w)
+    fn constraint_value_and_grad(&mut self) -> Result<(f64, Vec<f64>)> {
+        match &self.support {
+            Some(support) => self.constraint.value_and_gradient_at(&self.w, support),
+            None => {
+                let (value, grad) = self.constraint.value_and_gradient(&self.w)?;
+                Ok((value, grad.into_vec()))
+            }
+        }
     }
 
     fn constraint_value(&mut self) -> Result<f64> {
         self.constraint.value(&self.w)
     }
 
-    fn loss_value_and_grad(&mut self, rng: &mut Xoshiro256pp) -> Result<(f64, DenseMatrix)> {
-        match &self.loss {
-            Loss::Gram(g) => g.value_and_grad(&self.w),
-            Loss::Residual { data, batch } => {
-                batch_value_and_grad(&data.sample_batch(*batch, rng), &self.w, self.lambda)
+    fn loss_value_and_grad(&mut self, rng: &mut Xoshiro256pp) -> Result<(f64, Vec<f64>)> {
+        let d = self.w.rows() as u64;
+        let (value, grad, madds) = match (&self.loss, &self.support) {
+            (Loss::Gram(g), Some(support)) => g.support_value_and_grad(&self.w, support)?,
+            (Loss::Gram(g), None) => {
+                let (value, grad) = g.value_and_grad(&self.w)?;
+                let nnz = self.w.count_nonzero(0.0) as u64;
+                (value, grad.into_vec(), d * nnz)
+            }
+            (Loss::Residual { data, batch }, _) => {
+                let x = data.sample_batch(*batch, rng);
+                let (value, grad) = batch_value_and_grad(&x, &self.w, self.lambda)?;
+                let grad = grad.into_vec();
+                let grad = match &self.support {
+                    Some(support) => support.iter().map(|&at| grad[at as usize]).collect(),
+                    None => grad,
+                };
+                (value, grad, 2 * x.rows() as u64 * d * d)
+            }
+        };
+        self.loss_madds = madds;
+        Ok((value, grad))
+    }
+
+    fn loss_madds(&self) -> u64 {
+        self.loss_madds
+    }
+
+    fn add_scaled(grad: &mut Vec<f64>, coeff: f64, other: &Vec<f64>) -> Result<()> {
+        for (g, &cg) in grad.iter_mut().zip(other) {
+            *g += coeff * cg;
+        }
+        Ok(())
+    }
+
+    fn adam_step(&mut self, adam: &mut AdamState, grad: &Vec<f64>) {
+        match &self.support {
+            Some(support) => {
+                // The support excludes the diagonal: it stays zero.
+                let w = self.w.as_mut_slice();
+                let mut params: Vec<f64> = support.iter().map(|&at| w[at as usize]).collect();
+                adam.step(&mut params, grad);
+                for (&at, v) in support.iter().zip(params) {
+                    w[at as usize] = v;
+                }
+            }
+            None => {
+                adam.step(self.w.as_mut_slice(), grad);
+                self.w.zero_diagonal();
             }
         }
     }
 
-    fn add_scaled(grad: &mut DenseMatrix, coeff: f64, other: &DenseMatrix) -> Result<()> {
-        grad.axpy(coeff, other)
+    fn count_at_least(&self, theta: f64) -> usize {
+        self.w
+            .as_slice()
+            .iter()
+            .filter(|v| v.abs() >= theta)
+            .count()
     }
 
-    fn adam_step(&mut self, adam: &mut AdamState, grad: &DenseMatrix) {
-        adam.step(self.w.as_mut_slice(), grad.as_slice());
-        self.w.zero_diagonal();
-    }
-
-    fn threshold(&mut self, theta: f64, _adam: &mut AdamState) -> bool {
-        // Dense zeroing keeps the full parameter vector: Adam state stays
-        // aligned, and a zeroed entry may regrow.
-        self.w.threshold_inplace(theta);
-        true
+    fn threshold(&mut self, theta: f64, adam: &mut AdamState) -> bool {
+        match &mut self.support {
+            Some(support) => {
+                let w = self.w.as_mut_slice();
+                let mut kept = Vec::with_capacity(support.len());
+                let mut slot = 0;
+                support.retain(|&at| {
+                    // The test `threshold_inplace` makes: NaN stays.
+                    let v = &mut w[at as usize];
+                    let zeroed = v.abs() < theta;
+                    if zeroed {
+                        *v = 0.0;
+                    } else {
+                        kept.push(slot);
+                    }
+                    slot += 1;
+                    !zeroed
+                });
+                if kept.len() < adam.len() {
+                    adam.compact(&kept);
+                }
+            }
+            None => {
+                // The first filter: the support is what survives it, and
+                // the moments follow it.
+                self.w.threshold_inplace(theta);
+                let w = self.w.as_slice();
+                let support: Vec<u32> = (0..w.len() as u32)
+                    .filter(|&at| w[at as usize] != 0.0)
+                    .collect();
+                adam.compact(&support);
+                self.support = Some(support);
+            }
+        }
+        self.num_params() > 0
     }
 
     fn nnz(&self) -> usize {
@@ -187,6 +310,26 @@ impl WeightBackend for DenseState<'_> {
 
     fn into_weights(self) -> DenseMatrix {
         self.w
+    }
+}
+
+/// Test support: the dense backend at a given iterate, so integration
+/// tests can drive its inner iteration against reference copies
+/// (`tests/bit_identity.rs`). Exposed (not `cfg(test)`) for the same
+/// reason as [`crate::constraint::testing`].
+pub mod testing {
+    use super::*;
+
+    /// The backend [`LeastDense::fit_stats_with_constraint`] runs, at
+    /// iterate `w` instead of its random initialization: dense until the
+    /// first [`WeightBackend::threshold`], on `w`'s support after it.
+    pub fn backend_at<'a>(
+        w: DenseMatrix,
+        loss: GramLoss,
+        constraint: &'a dyn Acyclicity,
+        lambda: f64,
+    ) -> Result<impl WeightBackend<Weights = DenseMatrix, Grad = Vec<f64>> + 'a> {
+        DenseState::at(w, Loss::Gram(loss), constraint, lambda)
     }
 }
 

@@ -91,6 +91,8 @@ struct SparseState<'a> {
     bound: SpectralBound,
     loss: Loss<'a>,
     lambda: f64,
+    /// Multiply-adds of the last loss evaluation.
+    loss_madds: u64,
 }
 
 impl<'a> SparseState<'a> {
@@ -103,6 +105,7 @@ impl<'a> SparseState<'a> {
             bound,
             loss,
             lambda: cfg.lambda,
+            loss_madds: 0,
         })
     }
 }
@@ -127,11 +130,26 @@ impl WeightBackend for SparseState<'_> {
 
     fn loss_value_and_grad(&mut self, rng: &mut Xoshiro256pp) -> Result<(f64, Vec<f64>)> {
         match &self.loss {
-            Loss::Gram(g) => g.sparse_value_and_grad(&self.w),
+            Loss::Gram(g) => {
+                // One product per (slot, entry of the slot's column).
+                let mut col_nnz = vec![0u64; self.w.cols()];
+                for &l in self.w.col_indices() {
+                    col_nnz[l as usize] += 1;
+                }
+                self.loss_madds = col_nnz.iter().map(|n| n * n).sum();
+                g.sparse_value_and_grad(&self.w)
+            }
             Loss::Residual { data, batch } => {
-                sparse_value_and_grad(&data.sample_batch(*batch, rng), &self.w, self.lambda)
+                let x = data.sample_batch(*batch, rng);
+                // A residual and a gradient product per (row, slot).
+                self.loss_madds = 2 * (x.rows() * self.w.nnz()) as u64;
+                sparse_value_and_grad(&x, &self.w, self.lambda)
             }
         }
+    }
+
+    fn loss_madds(&self) -> u64 {
+        self.loss_madds
     }
 
     fn add_scaled(grad: &mut Vec<f64>, coeff: f64, other: &Vec<f64>) -> Result<()> {
@@ -143,6 +161,10 @@ impl WeightBackend for SparseState<'_> {
 
     fn adam_step(&mut self, adam: &mut AdamState, grad: &Vec<f64>) {
         adam.step(self.w.values_mut(), grad);
+    }
+
+    fn count_at_least(&self, theta: f64) -> usize {
+        self.w.values().iter().filter(|v| v.abs() >= theta).count()
     }
 
     fn threshold(&mut self, theta: f64, adam: &mut AdamState) -> bool {

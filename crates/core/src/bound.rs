@@ -15,7 +15,8 @@
 //! per the paper). The sparse pass costs `O(k·nnz)`. The dense pass scans
 //! `W` once (`O(d²)`) and then runs on its nonzero pattern,
 //! `O(k·(d + nnz))`, with every level equal to a full `d×d` sweep's
-//! (DESIGN.md §2.1). Both retain `k + 1` levels of `nnz` values.
+//! (DESIGN.md §2.1); given `W`'s support it skips the scan. All retain
+//! `k + 1` levels of `nnz` values.
 //!
 //! Numerical guard (DESIGN.md §6): fractional powers of row/column sums use
 //! an ε-floor so gradients stay finite; exact zeros stay exactly zero so
@@ -73,6 +74,29 @@ impl SpectralBound {
             return Err(LinalgError::NotSquare { shape: w.shape() });
         }
         let (pattern, first) = DensePattern::with_squares(w);
+        Ok(self.refine(pattern, first))
+    }
+
+    /// [`Self::forward_dense`] on a known support of `w`: its sorted,
+    /// row-major flat indices, outside which `w` is zero (the dense
+    /// backend's iterate once filtered, DESIGN.md §4). The pattern comes
+    /// from the support in `O(d + nnz)` rather than a scan of `W`; row
+    /// and column sums add the same squares in the same order, so the
+    /// result has the same bits.
+    pub(crate) fn forward_support(
+        &self,
+        w: &DenseMatrix,
+        support: &[u32],
+    ) -> Result<SpectralBoundForward> {
+        if !w.is_square() {
+            return Err(LinalgError::NotSquare { shape: w.shape() });
+        }
+        let (pattern, first) = DensePattern::on_support(w, support);
+        Ok(self.refine(pattern, first))
+    }
+
+    /// The `k` similarity steps from level 0 on `pattern`.
+    fn refine(&self, pattern: DensePattern, first: Summed) -> SpectralBoundForward {
         let mut level = BoundLevel::new(first, self.alpha);
         let mut levels = Vec::with_capacity(self.k + 1);
         for _ in 0..self.k {
@@ -81,12 +105,12 @@ impl SpectralBound {
         }
         let delta = level.b.iter().sum();
         levels.push(level);
-        Ok(SpectralBoundForward {
+        SpectralBoundForward {
             alpha: self.alpha,
             delta,
             pattern,
             levels,
-        })
+        }
     }
 
     /// Sparse forward pass (`O(k·nnz)`), retaining per-level state.
@@ -99,7 +123,7 @@ impl SpectralBound {
         for j in 0..=self.k {
             let r = s.row_sums();
             let c = s.col_sums();
-            let b = combine_sums(&r, &c, self.alpha);
+            let Balance { b, r_alpha, c_beta } = combine_sums(&r, &c, self.alpha);
             let advance = j < self.k;
             let next = if advance {
                 let mut n = s.clone();
@@ -108,7 +132,14 @@ impl SpectralBound {
             } else {
                 None
             };
-            levels.push(SparseBoundLevel { s, r, c, b });
+            levels.push(SparseBoundLevel {
+                s,
+                r,
+                c,
+                b,
+                r_alpha,
+                c_beta,
+            });
             match next {
                 Some(n) => s = n,
                 None => break,
@@ -133,18 +164,36 @@ impl SpectralBound {
     }
 }
 
-/// `b = r^α ∘ c^(1−α)` with the ε-floor convention.
-fn combine_sums(r: &[f64], c: &[f64], alpha: f64) -> Vec<f64> {
-    r.iter()
-        .zip(c)
-        .map(|(&ri, &ci)| {
-            if ri <= 0.0 || ci <= 0.0 {
-                0.0
-            } else {
-                powf_floored(ri, alpha, POW_EPS) * powf_floored(ci, 1.0 - alpha, POW_EPS)
-            }
-        })
-        .collect()
+/// A level's `b = r^α ∘ c^(1−α)` with the ε-floor convention, and its
+/// factors `r^α` and `c^(1−α)` (zero where `b` is), which the backward
+/// pass reuses rather than raising the sums to those powers again.
+struct Balance {
+    b: Vec<f64>,
+    r_alpha: Vec<f64>,
+    c_beta: Vec<f64>,
+}
+
+fn combine_sums(r: &[f64], c: &[f64], alpha: f64) -> Balance {
+    let d = r.len();
+    let mut bal = Balance {
+        b: Vec::with_capacity(d),
+        r_alpha: Vec::with_capacity(d),
+        c_beta: Vec::with_capacity(d),
+    };
+    for (&ri, &ci) in r.iter().zip(c) {
+        let (ra, cb) = if ri <= 0.0 || ci <= 0.0 {
+            (0.0, 0.0)
+        } else {
+            (
+                powf_floored(ri, alpha, POW_EPS),
+                powf_floored(ci, 1.0 - alpha, POW_EPS),
+            )
+        };
+        bal.b.push(ra * cb);
+        bal.r_alpha.push(ra);
+        bal.c_beta.push(cb);
+    }
+    bal
 }
 
 /// Minimum pattern slots per worker in [`DensePattern::for_each_row_mut`]:
@@ -198,6 +247,44 @@ impl DensePattern {
             for (cl, &v) in level.c.iter_mut().zip(values) {
                 *cl += v * v;
             }
+        }
+        (pattern, level)
+    }
+
+    /// The pattern of `support` (sorted row-major flat indices into `w`),
+    /// and `S = w ∘ w` on it: the sums [`Self::with_squares`] forms,
+    /// without the terms that are exact zeros.
+    fn on_support(w: &DenseMatrix, support: &[u32]) -> (Self, Summed) {
+        debug_assert!(support.windows(2).all(|p| p[0] < p[1]), "sorted unique");
+        let d = w.rows();
+        let values = w.as_slice();
+        let mut pattern = Self {
+            d,
+            row_ptr: Vec::with_capacity(d + 1),
+            run_ptr: Vec::with_capacity(d + 1),
+            runs: Vec::new(),
+        };
+        pattern.row_ptr.push(0);
+        pattern.run_ptr.push(0);
+        let mut level = Summed::new(d, support.len());
+        let mut slots = support.iter().map(|&at| at as usize).peekable();
+        for i in 0..d {
+            let first_run = pattern.runs.len();
+            let mut r = 0.0;
+            while let Some(at) = slots.next_if(|&at| at < (i + 1) * d) {
+                let col = at - i * d;
+                match pattern.runs[first_run..].last_mut() {
+                    Some((start, len)) if (*start + *len) as usize == col => *len += 1,
+                    _ => pattern.runs.push((col as u32, 1)),
+                }
+                let sq = values[at] * values[at];
+                level.s.push(sq);
+                r += sq;
+                level.c[col] += sq;
+            }
+            pattern.row_ptr.push(level.s.len());
+            pattern.run_ptr.push(pattern.runs.len());
+            level.r.push(r);
         }
         (pattern, level)
     }
@@ -339,12 +426,23 @@ pub(crate) struct BoundLevel {
     pub c: Vec<f64>,
     /// `b^(j)`.
     pub b: Vec<f64>,
+    /// `r^α` where `b^(j)` is nonzero, else zero.
+    pub r_alpha: Vec<f64>,
+    /// `c^(1−α)` where `b^(j)` is nonzero, else zero.
+    pub c_beta: Vec<f64>,
 }
 
 impl BoundLevel {
     fn new(Summed { s, r, c }: Summed, alpha: f64) -> Self {
-        let b = combine_sums(&r, &c, alpha);
-        Self { s, r, c, b }
+        let Balance { b, r_alpha, c_beta } = combine_sums(&r, &c, alpha);
+        Self {
+            s,
+            r,
+            c,
+            b,
+            r_alpha,
+            c_beta,
+        }
     }
 }
 
@@ -366,6 +464,8 @@ pub(crate) struct SparseBoundLevel {
     pub r: Vec<f64>,
     pub c: Vec<f64>,
     pub b: Vec<f64>,
+    pub r_alpha: Vec<f64>,
+    pub c_beta: Vec<f64>,
 }
 
 /// Retained sparse forward state; feed to [`grad::backward_sparse`].
@@ -390,6 +490,12 @@ impl Acyclicity for SpectralBound {
     fn value_and_gradient(&self, w: &DenseMatrix) -> Result<(f64, DenseMatrix)> {
         let fwd = self.forward_dense(w)?;
         let g = grad::backward_dense(&fwd, w);
+        Ok((fwd.delta, g))
+    }
+
+    fn value_and_gradient_at(&self, w: &DenseMatrix, support: &[u32]) -> Result<(f64, Vec<f64>)> {
+        let fwd = self.forward_support(w, support)?;
+        let g = grad::backward_support(&fwd, w, support);
         Ok((fwd.delta, g))
     }
 

@@ -92,6 +92,11 @@ pub struct LeastConfig {
     /// Lagrangian can only satisfy `δ̄ ≤ ε` by shrinking all of `W`
     /// uniformly, destroying the fit (observed experimentally; the paper's
     /// θ = 0 benchmark protocol compensates with a loose-ε grid search).
+    ///
+    /// The filter runs at every inner iteration from round 1 on; round 0
+    /// starts it at the first iteration `≥ max_inner / 2` at which at most
+    /// 5 % of the parameters have `|w| ≥ θ` (DESIGN.md §6). An entry it
+    /// zeroes stays zero for the rest of the fit, in either backend.
     pub theta: f64,
     /// Maximum outer rounds `T_o`.
     pub max_outer: usize,

@@ -25,6 +25,17 @@ pub trait Acyclicity {
         Ok((self.value(w)?, self.gradient(w)?))
     }
 
+    /// `c(W)` and `∇c(W)` at `support` only: sorted, row-major flat
+    /// indices of `W` outside which `W` is zero for good (the dense
+    /// backend's iterate once the θ-filter runs, DESIGN.md §4). The
+    /// default gathers the dense gradient; the spectral bound builds its
+    /// pattern from the support instead, with the same bits.
+    fn value_and_gradient_at(&self, w: &DenseMatrix, support: &[u32]) -> Result<(f64, Vec<f64>)> {
+        let (value, grad) = self.value_and_gradient(w)?;
+        let grad = grad.as_slice();
+        Ok((value, support.iter().map(|&at| grad[at as usize]).collect()))
+    }
+
     /// Short identifier used in benchmark output.
     fn name(&self) -> &'static str;
 }

@@ -21,8 +21,9 @@
 //! Deviations from the paper's pseudocode, documented in DESIGN.md §6:
 //! `W` is initialized once before the outer loop (Fig. 3 as printed
 //! re-randomizes it every round, discarding progress); the dense diagonal
-//! is pinned to zero; and line 7's `(ρ + δ)∇δ` is implemented as the
-//! correct augmented-Lagrangian coefficient `(ρ·δ + η)∇δ`.
+//! is pinned to zero; line 7's `(ρ + δ)∇δ` is implemented as the
+//! correct augmented-Lagrangian coefficient `(ρ·δ + η)∇δ`; and round 0
+//! starts line 9's filter late, by [`round0_filter_starts`].
 
 use crate::config::LeastConfig;
 use crate::trace::{ConvergenceTrace, TracePoint};
@@ -44,9 +45,10 @@ pub(crate) const H_SCC_CAP: usize = 600;
 /// forward/backward state, a CSR pattern) — including its training loss,
 /// chosen once when it is built (a Gram matrix or the raw data). The
 /// engine guarantees the call order per inner iteration:
-/// `constraint_value_and_grad` → `loss_value_and_grad` → `add_scaled` →
-/// `adam_step` → (optionally) `threshold`; and per outer round:
-/// `constraint_value` → `nnz`/`exact_h` for telemetry. Backends must
+/// `constraint_value_and_grad` → `loss_value_and_grad` → `loss_madds` →
+/// `add_scaled` → `adam_step` → (optionally) `count_at_least` →
+/// (optionally) `threshold`; and per outer round: `constraint_value` →
+/// `nnz`/`exact_h` for telemetry. Backends must
 /// consume `rng` identically across runs for a fixed config so results
 /// stay deterministic given a seed.
 pub trait WeightBackend {
@@ -74,6 +76,10 @@ pub trait WeightBackend {
     /// touch it.
     fn loss_value_and_grad(&mut self, rng: &mut Xoshiro256pp) -> Result<(f64, Self::Grad)>;
 
+    /// Multiply-adds the last [`Self::loss_value_and_grad`] did in its
+    /// products (telemetry: the machine-independent cost of the loss).
+    fn loss_madds(&self) -> u64;
+
     /// `grad += coeff · other` — folds the penalty gradient into the loss
     /// gradient.
     fn add_scaled(grad: &mut Self::Grad, coeff: f64, other: &Self::Grad) -> Result<()>;
@@ -82,10 +88,15 @@ pub trait WeightBackend {
     /// projection (the dense backend re-zeroes the diagonal here).
     fn adam_step(&mut self, adam: &mut AdamState, grad: &Self::Grad);
 
+    /// Parameters with `|w| ≥ θ`: how much of the iterate the filter
+    /// would keep (round 0's start rule, [`round0_filter_starts`]).
+    fn count_at_least(&self, theta: f64) -> usize;
+
     /// Apply the paper's in-loop filter `|w| < θ → 0` (Fig. 3 line 9),
-    /// compacting optimizer state alongside any pattern compaction.
-    /// Returns `false` when no support remains and the inner loop must
-    /// stop (nothing left to learn).
+    /// compacting optimizer state alongside any pattern compaction. An
+    /// entry the filter zeroes leaves the support for good. Returns
+    /// `false` when no support remains and the inner loop must stop
+    /// (nothing left to learn).
     fn threshold(&mut self, theta: f64, adam: &mut AdamState) -> bool;
 
     /// Non-zeros in the current iterate (telemetry).
@@ -140,6 +151,28 @@ impl<Mode> LeastSolver<Mode> {
     }
 }
 
+/// Whether round 0's filter starts at inner iteration `it` (DESIGN.md §6):
+/// at the first `it ≥ max_inner / 2` at which at most 5 % of the
+/// backend's parameters have `|w| ≥ θ`. Rounds ≥ 1 filter every
+/// iteration.
+///
+/// The filter removes an entry for good, so starting it early kills
+/// entries the loss has not yet grown past θ (an entry grows by at most
+/// about the Adam step size per iteration): hence the first half of the
+/// round. The 5 % condition keeps it off while most of `W` is still
+/// large, as on small dense problems (a chain of d ≤ 6 keeps ≥ 80 % of
+/// its entries ≥ θ), whose fits need the unfiltered round to settle;
+/// it fires on the wide sparse ones (d = 200, ER-2: a few hundred live
+/// entries of 39,800), where the filter also makes each later
+/// iteration cost `O(nnz)` instead of `O(d²)`.
+pub(crate) fn round0_filter_starts<B: WeightBackend>(
+    backend: &B,
+    it: usize,
+    cfg: &LeastConfig,
+) -> bool {
+    it >= cfg.max_inner / 2 && 20 * backend.count_at_least(cfg.theta) <= backend.num_params()
+}
+
 /// Run the augmented-Lagrangian outer loop to completion over an
 /// initialized backend. This is the single copy of the logic both solvers
 /// used to duplicate.
@@ -161,23 +194,28 @@ pub(crate) fn run<B: WeightBackend>(
         let mut prev_obj = f64::INFINITY;
         let mut quiet = 0usize;
         let mut last_loss = 0.0;
+        // Thresholding (Fig. 3 line 9): every iteration from round 1 on;
+        // in round 0 from the iteration `round0_filter_starts` picks.
+        let filtering = cfg.theta > 0.0;
+        let mut filter_from = (filtering && auglag.round > 0).then_some(0);
+        let mut inner_iters = 0;
+        let mut loss_madds = 0;
 
-        for _it in 0..cfg.max_inner {
+        for it in 0..cfg.max_inner {
+            inner_iters = it + 1;
             let (c, c_grad) = backend.constraint_value_and_grad()?;
             let (loss_val, mut grad) = backend.loss_value_and_grad(rng)?;
+            loss_madds += backend.loss_madds();
             last_loss = loss_val;
             let obj = loss_val + auglag.penalty(c);
             B::add_scaled(&mut grad, auglag.penalty_grad_coeff(c), &c_grad)?;
 
             backend.adam_step(&mut adam, &grad);
 
-            // Thresholding (Fig. 3 line 9). Round 0 is left unfiltered
-            // so the loss can establish edge magnitudes first: filtering
-            // from the very first iterations permanently kills entries
-            // whenever θ exceeds the Adam step size (an entry regrows at
-            // most lr per step before being re-zeroed; for the sparse
-            // backend support loss is irreversible outright).
-            if cfg.theta > 0.0 && auglag.round > 0 && !backend.threshold(cfg.theta, &mut adam) {
+            if filtering && filter_from.is_none() && round0_filter_starts(&backend, it, cfg) {
+                filter_from = Some(it);
+            }
+            if filter_from.is_some() && !backend.threshold(cfg.theta, &mut adam) {
                 break; // everything filtered: nothing left to learn
             }
 
@@ -207,6 +245,9 @@ pub(crate) fn run<B: WeightBackend>(
             h,
             loss: last_loss,
             nnz: backend.nnz(),
+            inner_iters,
+            filter_from,
+            loss_madds,
         });
 
         // The paper's benchmark termination also checks h(W) ≤ ε so

@@ -40,20 +40,18 @@ fn slot_chunk(nnz: usize) -> usize {
 }
 
 /// `x[m] = α(c/r)^{1−α}`, `y[m] = (1−α)(r/c)^α`, ε-guarded to match the
-/// forward's zero conventions (`b[m] = 0 ⇒ x[m] = y[m] = 0`).
-fn xy(r: &[f64], c: &[f64], alpha: f64) -> (Vec<f64>, Vec<f64>) {
+/// forward's zero conventions (`b[m] = 0 ⇒ x[m] = y[m] = 0`). `c^(1−α)`
+/// and `r^α` are the forward's factors of `b`.
+fn xy(r: &[f64], c: &[f64], r_alpha: &[f64], c_beta: &[f64], alpha: f64) -> (Vec<f64>, Vec<f64>) {
     let mut x = Vec::with_capacity(r.len());
     let mut y = Vec::with_capacity(r.len());
-    for (&ri, &ci) in r.iter().zip(c) {
+    for (((&ri, &ci), &ra), &cb) in r.iter().zip(c).zip(r_alpha).zip(c_beta) {
         if ri <= 0.0 || ci <= 0.0 {
             x.push(0.0);
             y.push(0.0);
         } else {
-            let ratio =
-                powf_floored(ci, 1.0 - alpha, POW_EPS) / powf_floored(ri, 1.0 - alpha, POW_EPS);
-            x.push(alpha * ratio);
-            let ratio2 = powf_floored(ri, alpha, POW_EPS) / powf_floored(ci, alpha, POW_EPS);
-            y.push((1.0 - alpha) * ratio2);
+            x.push(alpha * (cb / powf_floored(ri, 1.0 - alpha, POW_EPS)));
+            y.push((1.0 - alpha) * (ra / powf_floored(ci, alpha, POW_EPS)));
         }
     }
     (x, y)
@@ -71,6 +69,43 @@ fn xy(r: &[f64], c: &[f64], alpha: f64) -> (Vec<f64>, Vec<f64>) {
 /// (zero entries up to their sign) and does not depend on the thread
 /// count, in `O(d² + k·(d + nnz))` time.
 pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatrix {
+    let pattern = &fwd.pattern;
+    let g = pattern_gradient(fwd);
+    // ∇_W = 2·G ∘ W.
+    let d = pattern.d;
+    let mut out = DenseMatrix::zeros(d, d);
+    for i in 0..d {
+        let g_row = &g[pattern.slots(i)];
+        let (w_row, out_row) = (w.row(i), out.row_mut(i));
+        for (at, cols) in pattern.runs(i) {
+            let run = out_row[cols.clone()].iter_mut().zip(&w_row[cols]);
+            for ((o, &wv), &gv) in run.zip(&g_row[at]) {
+                *o = gv * wv * 2.0;
+            }
+        }
+    }
+    out
+}
+
+/// [`backward_dense`] for a forward built by
+/// [`crate::SpectralBound::forward_support`] on the same `support`:
+/// `∇_W δ̄` at each support index, in support order, equal to the dense
+/// gradient's entry there. `O(k·(d + nnz))`, no `d×d` buffer.
+pub(crate) fn backward_support(
+    fwd: &SpectralBoundForward,
+    w: &DenseMatrix,
+    support: &[u32],
+) -> Vec<f64> {
+    let w = w.as_slice();
+    let g = pattern_gradient(fwd);
+    g.iter()
+        .zip(support)
+        .map(|(&gv, &at)| gv * w[at as usize] * 2.0)
+        .collect()
+}
+
+/// `∇_{S^(0)} δ̄` on the forward's pattern, slot by slot (Lemmas 3–5).
+fn pattern_gradient(fwd: &SpectralBoundForward) -> Vec<f64> {
     let levels = &fwd.levels;
     let pattern = &fwd.pattern;
     let k = levels.len() - 1;
@@ -78,7 +113,8 @@ pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatri
     let alpha = fwd.alpha;
 
     // Lemma 3: top-level gradient G[i,l] = x[i] + y[l].
-    let (xk, yk) = xy(&levels[k].r, &levels[k].c, alpha);
+    let top = &levels[k];
+    let (xk, yk) = xy(&top.r, &top.c, &top.r_alpha, &top.c_beta, alpha);
     let mut g = vec![0.0; pattern.nnz()];
     pattern.for_each_row_mut(&mut g, |i, g_row| {
         for (at, cols) in pattern.runs(i) {
@@ -121,7 +157,7 @@ pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatri
                 *zm -= row_term * inv_bm2;
             }
         }
-        let (x, y) = xy(&level.r, &level.c, alpha);
+        let (x, y) = xy(&level.r, &level.c, &level.r_alpha, &level.c_beta, alpha);
         // G_new[i,l] = G[i,l]·b[l]/b[i] + x[i]z[i] + y[l]z[l].
         pattern.for_each_row_mut(&mut g, |i, g_row| {
             let inv_bi = inv_or_zero(b[i]);
@@ -135,19 +171,7 @@ pub fn backward_dense(fwd: &SpectralBoundForward, w: &DenseMatrix) -> DenseMatri
         });
     }
 
-    // ∇_W = 2·G ∘ W.
-    let mut out = DenseMatrix::zeros(d, d);
-    for i in 0..d {
-        let g_row = &g[pattern.slots(i)];
-        let (w_row, out_row) = (w.row(i), out.row_mut(i));
-        for (at, cols) in pattern.runs(i) {
-            let run = out_row[cols.clone()].iter_mut().zip(&w_row[cols]);
-            for ((o, &wv), &gv) in run.zip(&g_row[at]) {
-                *o = gv * wv * 2.0;
-            }
-        }
-    }
-    out
+    g
 }
 
 /// Sparse backward pass: the masked gradient values aligned with `w`'s CSR
@@ -171,7 +195,8 @@ pub fn backward_sparse(fwd: &SparseBoundForward, w: &CsrMatrix) -> Vec<f64> {
 
     // Lemma 3 restricted to the mask (slot-parallel: slots are disjoint).
     let mut g = vec![0.0; nnz];
-    let (xk, yk) = xy(&levels[k].r, &levels[k].c, alpha);
+    let top = &levels[k];
+    let (xk, yk) = xy(&top.r, &top.c, &top.r_alpha, &top.c_beta, alpha);
     par::for_each_chunk_mut(&mut g, chunk_len, |block, chunk| {
         let base = block * chunk_len;
         for (i, o) in chunk.iter_mut().enumerate() {
@@ -200,7 +225,7 @@ pub fn backward_sparse(fwd: &SparseBoundForward, w: &CsrMatrix) -> Vec<f64> {
             }
             local
         });
-        let (x, y) = xy(&level.r, &level.c, alpha);
+        let (x, y) = xy(&level.r, &level.c, &level.r_alpha, &level.c_beta, alpha);
         // Propagate on the pattern (slot-parallel).
         par::for_each_chunk_mut(&mut g, chunk_len, |block, chunk| {
             let base = block * chunk_len;

@@ -9,7 +9,9 @@
 //!   (`least_linalg::tile`), which visits per block of 4 columns of `W`
 //!   only the rows with a nonzero, so an iteration costs
 //!   `O(d² + d·nnz(W))` and matches the row-by-row product bit for bit
-//!   (DESIGN.md §2.1).
+//!   (DESIGN.md §2.1). Given `W`'s support, only the support's entries
+//!   are formed, `O(d + Σ_l nnz_l²)` (`nnz_l` the nonzeros in column `l`),
+//!   with the same bits.
 //! * **Residual path** (mini-batch dense): `R = X_B W − X_B`,
 //!   `∇ = (2/B)·X_BᵀR`.
 //! * **Sparse-support path**: residual scatter plus per-slot dot products,
@@ -162,6 +164,89 @@ impl GramLoss {
 
         let smooth = (self.trace - 2.0 * wg + wm) / self.n as f64;
         Ok((smooth + self.lambda * l1, grad))
+    }
+
+    /// [`Self::value_and_grad`] at a dense iterate whose nonzeros lie in
+    /// `support` (sorted, row-major flat indices): the loss, and the
+    /// gradient at each support index in support order. Returns the
+    /// multiply-adds of the products too, `Σ_l nnz_l²`.
+    ///
+    /// The gradient at `(i, l)` needs `(G·W)[i,l] = Σ_r G[i,r]·W[r,l]`
+    /// over the support's rows `r` of column `l` only: the same nonzero
+    /// products, in ascending `r`, from `+0`, as the gather adds (the
+    /// terms it adds besides are exact `±0`). `⟨W, G⟩`, `‖W‖₁` and
+    /// `⟨W, G·W⟩` run over the same nonzeros in row-major order. So every
+    /// value equals [`Self::value_and_grad`]'s, serially at any pool
+    /// width, in `O(d + Σ_l nnz_l²)` with no `d×d` buffer.
+    pub(crate) fn support_value_and_grad(
+        &self,
+        w: &DenseMatrix,
+        support: &[u32],
+    ) -> Result<(f64, Vec<f64>, u64)> {
+        let d = self.gram.rows();
+        if w.shape() != (d, d) {
+            return Err(LinalgError::ShapeMismatch {
+                found: w.shape(),
+                expected: self.gram.shape(),
+            });
+        }
+        let (w, g) = (w.as_slice(), self.gram.as_slice());
+        // Column lists of the support: (row, weight, support slot), rows
+        // ascending within a column.
+        let mut col_ptr = vec![0usize; d + 1];
+        for &at in support {
+            col_ptr[at as usize % d + 1] += 1;
+        }
+        for l in 0..d {
+            col_ptr[l + 1] += col_ptr[l];
+        }
+        let mut fill = col_ptr.clone();
+        let mut cols = vec![(0usize, 0.0, 0usize); support.len()];
+        for (slot, &at) in support.iter().enumerate() {
+            let (r, l) = (at as usize / d, at as usize % d);
+            cols[fill[l]] = (r, w[at as usize], slot);
+            fill[l] += 1;
+        }
+
+        // (G·W)[i,l] at every support entry: column l's rows i against
+        // the same rows r, four rows i at a time so that four ordered sums
+        // run side by side.
+        let mut gw = vec![0.0; support.len()];
+        let mut madds = 0u64;
+        for l in 0..d {
+            let col = &cols[col_ptr[l]..col_ptr[l + 1]];
+            madds += (col.len() * col.len()) as u64;
+            for quad in col.chunks(4) {
+                // Short chunks repeat their first row in the spare lanes.
+                let rows: [usize; 4] =
+                    std::array::from_fn(|k| quad.get(k).unwrap_or(&quad[0]).0 * d);
+                let mut m = [0.0; 4];
+                for &(r, v, _) in col {
+                    for (mk, &row) in m.iter_mut().zip(&rows) {
+                        *mk += g[row + r] * v;
+                    }
+                }
+                for (&(.., slot), m) in quad.iter().zip(m) {
+                    gw[slot] = m;
+                }
+            }
+        }
+
+        // The inner products and the finished gradient, in support
+        // (row-major) order.
+        let scale = 2.0 / self.n as f64;
+        let (mut wg, mut l1, mut wm) = (0.0, 0.0, 0.0);
+        let mut grad = Vec::with_capacity(support.len());
+        for (&at, m) in support.iter().zip(gw) {
+            let at = at as usize;
+            let v = w[at];
+            wg += v * g[at];
+            l1 += v.abs();
+            wm += v * m;
+            grad.push((m - g[at]) * scale + self.lambda * sign(v));
+        }
+        let smooth = (self.trace - 2.0 * wg + wm) / self.n as f64;
+        Ok((smooth + self.lambda * l1, grad, madds))
     }
 
     /// Loss and support-restricted gradient at a CSR iterate — the sparse

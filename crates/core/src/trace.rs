@@ -32,6 +32,15 @@ pub struct TracePoint {
     pub loss: f64,
     /// Non-zeros in `W` (post-thresholding).
     pub nnz: usize,
+    /// Inner iterations the round ran (end-of-round samples; 0 otherwise).
+    pub inner_iters: usize,
+    /// First inner iteration of the round whose iterate was θ-filtered;
+    /// `None` when the round never filtered.
+    pub filter_from: Option<usize>,
+    /// Multiply-adds the loss's products did over the round, as the
+    /// backend counts them: a machine-independent cost to set beside the
+    /// round's wall time (DESIGN.md §2.1).
+    pub loss_madds: u64,
 }
 
 /// Append-only series of trace points.
@@ -107,6 +116,9 @@ mod tests {
             h,
             loss: 1.0,
             nnz: 10,
+            inner_iters: 0,
+            filter_from: None,
+            loss_madds: 0,
         }
     }
 

@@ -6,16 +6,20 @@
 //! promise results equal (`==`) to the row-by-row `G·W` product and the
 //! full-matrix forward/backward sweep they replaced. The references below
 //! are those formulations, kept here verbatim, and every comparison runs at
-//! pool widths 1, 2 and 3. A golden hash of a whole fit pins the solver's
-//! trajectory bit for bit.
+//! pool widths 1, 2 and 3. Once the θ-filter runs, the dense backend
+//! iterates on `W`'s support only; that iteration is compared with a
+//! verbatim copy of the `O(d²)` thresholded iteration it replaced. Golden
+//! hashes of whole fits pin the solver's trajectory bit for bit.
 
+use least_core::backend_dense::testing::backend_at;
 use least_core::bound::POW_EPS;
 use least_core::grad::backward_dense;
-use least_core::{GramLoss, LeastConfig, LeastDense, SpectralBound};
+use least_core::{Acyclicity, GramLoss, LeastConfig, LeastDense, SpectralBound, WeightBackend};
 use least_data::{sample_lsem, Dataset, NoiseModel, Preprocess, SufficientStats};
 use least_graph::{erdos_renyi_dag, weighted_adjacency_dense, WeightRange};
 use least_linalg::vecops::powf_floored;
 use least_linalg::{par, DenseMatrix, Xoshiro256pp};
+use least_optim::{AdamConfig, AdamState, AugLagState};
 use std::sync::{Mutex, MutexGuard};
 
 /// The pool width is process-global: every test here holds this lock, so
@@ -419,12 +423,200 @@ fn golden_two_round_thresholded_fit() {
 const GOLDEN_NNZ: usize = 97;
 const GOLDEN_HASH: u64 = 0xb730_a056_6be6_6047;
 
+/// ER-2 statistics at `d` (raw or centered), and a thresholded iterate:
+/// a few entries in `[θ, 1)` in magnitude over noise below θ, which the
+/// first filter removes.
+fn filtered_problem(d: usize, center: bool, theta: f64, seed: u64) -> (GramLoss, DenseMatrix) {
+    let mut rng = Xoshiro256pp::new(seed);
+    let truth = erdos_renyi_dag(d, 2, &mut rng);
+    let w_true = weighted_adjacency_dense(&truth, WeightRange::default(), &mut rng);
+    let x = sample_lsem(&w_true, 400, NoiseModel::standard_gaussian(), &mut rng).unwrap();
+    let preprocess = if center {
+        Preprocess::Center
+    } else {
+        Preprocess::Raw
+    };
+    let stats = SufficientStats::from_dataset(&Dataset::new(x), preprocess).unwrap();
+    let density = (4.0 / d as f64).min(0.5);
+    let w = DenseMatrix::from_fn(d, d, |i, j| {
+        if i == j {
+            0.0
+        } else if rng.bernoulli(density) {
+            let v = rng.uniform(theta, 1.0);
+            if rng.bernoulli(0.5) {
+                v
+            } else {
+                -v
+            }
+        } else {
+            rng.uniform(-0.9 * theta, 0.9 * theta)
+        }
+    });
+    (GramLoss::from_stats(&stats, 0.05).unwrap(), w)
+}
+
+/// The `O(d²)` thresholded inner iteration the support path replaced,
+/// verbatim: dense bound and loss, penalty axpy, Adam over all `d²`
+/// entries, the diagonal re-zeroed, then the filter. Returns `(c, L)`.
+fn reference_iteration(
+    w: &mut DenseMatrix,
+    loss: &GramLoss,
+    bound: &SpectralBound,
+    auglag: &AugLagState,
+    adam: &mut AdamState,
+    theta: f64,
+) -> (f64, f64) {
+    let (c, c_grad) = bound.value_and_gradient(w).unwrap();
+    let (value, mut grad) = loss.value_and_grad(w).unwrap();
+    grad.axpy(auglag.penalty_grad_coeff(c), &c_grad).unwrap();
+    adam.step(w.as_mut_slice(), grad.as_slice());
+    w.zero_diagonal();
+    w.threshold_inplace(theta);
+    (c, value)
+}
+
+/// `iters` inner iterations of the dense backend from `w`, filtering
+/// each: the first on the dense iterate, the rest on its support.
+/// Returns every iteration's `(c, L)` and the final weights.
+fn support_iterations(
+    w: DenseMatrix,
+    loss: GramLoss,
+    bound: &SpectralBound,
+    auglag: &AugLagState,
+    adam_cfg: AdamConfig,
+    theta: f64,
+    iters: usize,
+) -> (Vec<(f64, f64)>, DenseMatrix) {
+    fn run<B: WeightBackend<Grad = Vec<f64>>>(
+        mut backend: B,
+        auglag: &AugLagState,
+        adam_cfg: AdamConfig,
+        theta: f64,
+        iters: usize,
+    ) -> (Vec<(f64, f64)>, B::Weights) {
+        let mut adam = AdamState::new(backend.num_params(), adam_cfg);
+        let mut rng = Xoshiro256pp::new(0);
+        let mut seen = Vec::with_capacity(iters);
+        for _ in 0..iters {
+            let (c, c_grad) = backend.constraint_value_and_grad().unwrap();
+            let (value, mut grad) = backend.loss_value_and_grad(&mut rng).unwrap();
+            B::add_scaled(&mut grad, auglag.penalty_grad_coeff(c), &c_grad).unwrap();
+            backend.adam_step(&mut adam, &grad);
+            assert!(backend.threshold(theta, &mut adam), "support emptied");
+            seen.push((c, value));
+        }
+        (seen, backend.into_weights())
+    }
+    let backend = backend_at(w, loss, bound, 0.05).unwrap();
+    run(backend, auglag, adam_cfg, theta, iters)
+}
+
+/// The augmented-Lagrangian state of a second round.
+fn second_round() -> AugLagState {
+    let mut auglag = AugLagState::new(LeastConfig::default().auglag());
+    auglag.advance(0.5);
+    auglag
+}
+
+#[test]
+fn support_iteration_equals_the_dense_thresholded_iteration() {
+    let theta = 0.05;
+    let bound = SpectralBound::default();
+    let auglag = second_round();
+    let adam_cfg = AdamConfig::default();
+    let iters = 60;
+    for d in [5, 60, D] {
+        for center in [false, true] {
+            let (loss, w0) = filtered_problem(d, center, theta, 31 + d as u64);
+            let mut reference = w0.clone();
+            let mut adam = AdamState::new(d * d, adam_cfg);
+            let ref_seen: Vec<(f64, f64)> = (0..iters)
+                .map(|_| {
+                    reference_iteration(&mut reference, &loss, &bound, &auglag, &mut adam, theta)
+                })
+                .collect();
+            at_each_width(|width| {
+                let what = format!("d = {d}, centered {center}, width {width}");
+                let (seen, w) = support_iterations(
+                    w0.clone(),
+                    loss.clone(),
+                    &bound,
+                    &auglag,
+                    adam_cfg,
+                    theta,
+                    iters,
+                );
+                for (it, (&(c, l), &(ref_c, ref_l))) in seen.iter().zip(&ref_seen).enumerate() {
+                    assert!(
+                        c == ref_c && l == ref_l,
+                        "{what}, iteration {it}: (δ̄, L) = ({c:e}, {l:e}), reference ({ref_c:e}, {ref_l:e})"
+                    );
+                }
+                assert_entries_eq(&what, &w, &reference);
+            });
+        }
+    }
+}
+
+#[test]
+fn a_filtered_entry_stays_zero_even_when_a_step_could_regrow_it() {
+    // With lr > θ one Adam step can carry a zeroed entry past θ: the
+    // dense iteration then lets it back, the support path never does.
+    let theta = 0.05;
+    let bound = SpectralBound::default();
+    let auglag = second_round();
+    let adam_cfg = AdamConfig {
+        learning_rate: 0.2,
+        ..AdamConfig::default()
+    };
+    let _guard = pool_lock();
+    let (loss, w0) = filtered_problem(30, true, theta, 41);
+    let run = |iters| {
+        support_iterations(
+            w0.clone(),
+            loss.clone(),
+            &bound,
+            &auglag,
+            adam_cfg,
+            theta,
+            iters,
+        )
+        .1
+    };
+    let first = run(1);
+    let last = run(50);
+    let zeroed = |w: &DenseMatrix, at: usize| w.as_slice()[at] == 0.0;
+    let total = first.as_slice().len();
+    let regrown = (0..total).filter(|&at| zeroed(&first, at) && !zeroed(&last, at));
+    assert_eq!(
+        regrown.count(),
+        0,
+        "an entry left the support and came back"
+    );
+    assert!(last.count_nonzero(0.0) > 0);
+
+    let mut reference = w0.clone();
+    let mut adam = AdamState::new(total, adam_cfg);
+    reference_iteration(&mut reference, &loss, &bound, &auglag, &mut adam, theta);
+    assert!(reference == first, "the first, dense iterations differ");
+    for _ in 1..50 {
+        reference_iteration(&mut reference, &loss, &bound, &auglag, &mut adam, theta);
+    }
+    let regrown = (0..total).filter(|&at| zeroed(&first, at) && !zeroed(&reference, at));
+    assert!(
+        regrown.count() > 0,
+        "the dense iteration regrew nothing: lr does not exceed θ here"
+    );
+}
+
 #[test]
 fn golden_d200_fit_is_the_same_at_every_width() {
     // At d = 200 the backward pass's `z` scatter spans more rows than one
     // row grain (81), so a scatter split per worker would group its sums
-    // by the pool width. The hash was recorded at width 1; widths 2 and 3
-    // must reproduce it.
+    // by the pool width. Round 0's filter starts at iteration 10, when at
+    // most 5 % of the entries are ≥ θ, and the fit then runs on W's
+    // support. The hash was recorded at width 1; widths 2 and 3 must
+    // reproduce it.
     let d = D;
     let mut rng = Xoshiro256pp::new(0x0200_0200);
     let truth = erdos_renyi_dag(d, 2, &mut rng);
@@ -453,6 +645,6 @@ fn golden_d200_fit_is_the_same_at_every_width() {
     });
 }
 
-/// Recorded at pool width 1, where the scatter already ran as one block.
-const GOLDEN_D200_NNZ: usize = 308;
-const GOLDEN_D200_HASH: u64 = 0xcac4_b48d_1848_12a4;
+/// Recorded at pool width 1.
+const GOLDEN_D200_NNZ: usize = 283;
+const GOLDEN_D200_HASH: u64 = 0x138a_c599_5665_cce8;

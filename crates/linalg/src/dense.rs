@@ -116,6 +116,11 @@ impl DenseMatrix {
         &mut self.data
     }
 
+    /// The flat row-major data, without a copy.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

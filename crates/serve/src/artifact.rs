@@ -125,6 +125,15 @@ impl ModelArtifact {
                 noise_vars.len()
             )));
         }
+        // A NaN weight would silently drop its edge (parent lists keep
+        // `|w| > tol`) and an infinite one would turn answers into inf/NaN.
+        let weights_finite = match &weights {
+            WeightMatrix::Dense(m) => m.as_slice().iter().all(|v| v.is_finite()),
+            WeightMatrix::Sparse(m) => m.values().iter().all(|v| v.is_finite()),
+        };
+        if !weights_finite {
+            return Err(ServeError::Malformed("weights must be finite".into()));
+        }
         // Finite intercepts also let inference skip the exact-zero terms of
         // nodes outside a query's closure (`query` module doc).
         if intercepts.iter().any(|v| !v.is_finite()) {
@@ -407,6 +416,41 @@ mod tests {
             let w = WeightMatrix::Dense(DenseMatrix::zeros(2, 2));
             let err = ModelArtifact::new(w, vec![0.0, bad], vec![1.0; 2], meta.clone());
             assert!(matches!(err, Err(ServeError::Malformed(_))), "{bad}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_weights() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut dense = dense_artifact();
+            let WeightMatrix::Dense(w) = &mut dense.weights else {
+                unreachable!()
+            };
+            w[(0, 1)] = bad;
+            let mut sparse = sparse_artifact();
+            let WeightMatrix::Sparse(w) = &mut sparse.weights else {
+                unreachable!()
+            };
+            w.values_mut()[1] = bad;
+            for a in [dense, sparse] {
+                let backend = a.weights.backend();
+                let direct = ModelArtifact::new(
+                    a.weights.clone(),
+                    a.intercepts.clone(),
+                    a.noise_vars.clone(),
+                    a.meta.clone(),
+                );
+                assert!(
+                    matches!(direct, Err(ServeError::Malformed(_))),
+                    "{backend} {bad}: new accepted it"
+                );
+                // A stream with a valid checksum around the bad weight.
+                let loaded = ModelArtifact::from_bytes(&a.to_bytes());
+                assert!(
+                    matches!(loaded, Err(ServeError::Malformed(_))),
+                    "{backend} {bad}: from_bytes accepted it"
+                );
+            }
         }
     }
 

@@ -228,10 +228,16 @@ pub struct RegistryReader {
 }
 
 impl RegistryReader {
-    /// The current snapshot: cached while the generation is unchanged,
-    /// re-fetched (one short slot lock) when a writer has published.
+    /// The current snapshot: cached until the published generation
+    /// passes the cached one, then re-fetched (one short slot lock).
+    ///
+    /// A publish swaps the slot before it stores the generation, so a
+    /// reader can fetch snapshot `g + 1` while the atomic still reads
+    /// `g`. Comparing for "newer", not "different", keeps that reader on
+    /// its cache instead of re-fetching on every read until the store
+    /// lands.
     pub fn current(&mut self) -> &Arc<RegistrySnapshot> {
-        if self.registry.generation() != self.cached.generation() {
+        if self.registry.generation() > self.cached.generation() {
             self.cached = self.registry.snapshot();
             self.refreshes += 1;
         }
@@ -341,6 +347,37 @@ mod tests {
             1,
             "one refresh per publish, not per read"
         );
+    }
+
+    #[test]
+    fn reader_refreshes_once_while_a_publish_is_in_flight() {
+        // Stage the window inside `publish`: the slot already holds the
+        // next snapshot, the generation store has not landed yet.
+        let reg = Arc::new(ModelRegistry::new());
+        reg.insert("m", demo_artifact()).unwrap();
+        let mut reader = reg.reader();
+        // One complete publish the reader has not seen yet, so its next
+        // read fetches whatever the slot holds: the staged snapshot.
+        reg.insert("m2", demo_artifact()).unwrap();
+        let staged = {
+            let mut slot = reg.current.lock().unwrap();
+            let generation = slot.generation + 1;
+            *slot = Arc::new(RegistrySnapshot {
+                generation,
+                models: slot.models.clone(),
+            });
+            generation
+        };
+        assert_eq!(reg.generation(), staged - 1, "store still in flight");
+        for _ in 0..100 {
+            assert!(reader.current().get("m").is_some());
+        }
+        assert!(reader.refreshes() <= 1, "{} refreshes", reader.refreshes());
+        reg.generation.store(staged, Ordering::Release);
+        for _ in 0..100 {
+            reader.current();
+        }
+        assert!(reader.refreshes() <= 1, "{} refreshes", reader.refreshes());
     }
 
     #[test]
