@@ -24,7 +24,9 @@
 //! differences in the tests below). The dense path keeps the arithmetic
 //! and summation order of a full `d×d` sweep, so its gradient equals that
 //! sweep's (DESIGN.md §2.1); the sparse path orders its sums differently
-//! and agrees to rounding.
+//! and agrees to rounding. Both add every sum serially, in one order, and
+//! parallelize only disjoint per-slot writes, so neither result depends on
+//! the pool width.
 
 use crate::bound::{inv_or_zero, SparseBoundForward, SpectralBoundForward, POW_EPS};
 use least_linalg::vecops::powf_floored;
@@ -176,7 +178,9 @@ fn pattern_gradient(fwd: &SpectralBoundForward) -> Vec<f64> {
 
 /// Sparse backward pass: the masked gradient values aligned with `w`'s CSR
 /// pattern (Lemma 5). Returns a vector parallel to `w.values()` holding
-/// `∇_W δ̄` on the support.
+/// `∇_W δ̄` on the support. The `z` scatter is one serial pass in slot
+/// order and the per-slot updates write disjoint entries, so the result
+/// is the same at any pool width.
 pub fn backward_sparse(fwd: &SparseBoundForward, w: &CsrMatrix) -> Vec<f64> {
     let levels = &fwd.levels;
     let k = levels.len() - 1;
@@ -209,22 +213,19 @@ pub fn backward_sparse(fwd: &SparseBoundForward, w: &CsrMatrix) -> Vec<f64> {
         let level = &levels[j - 1];
         let b = &level.b;
         let s_vals = level.s.values();
-        // z via one pass over the pattern — a scatter into both endpoint
-        // nodes of every slot, so each worker accumulates a private vector
-        // combined in slot-range order.
-        let z = par::accumulate_ranges(nnz, SLOT_GRAIN, d, |slots| {
-            let mut local = vec![0.0; d];
-            for slot in slots {
-                let p = row_of[slot] as usize;
-                let q = col_of[slot] as usize;
-                let gs = g[slot] * s_vals[slot];
-                let inv_bp = inv_or_zero(b[p]);
-                local[q] += gs * inv_bp;
-                let inv_bp2 = inv_or_zero(b[p] * b[p]);
-                local[p] -= gs * b[q] * inv_bp2;
-            }
-            local
-        });
+        // z via one serial pass over the pattern in slot order — a scatter
+        // into both endpoint nodes of every slot — so every z[m] adds its
+        // terms in the same order at any pool width.
+        let mut z = vec![0.0; d];
+        for slot in 0..nnz {
+            let p = row_of[slot] as usize;
+            let q = col_of[slot] as usize;
+            let gs = g[slot] * s_vals[slot];
+            let inv_bp = inv_or_zero(b[p]);
+            z[q] += gs * inv_bp;
+            let inv_bp2 = inv_or_zero(b[p] * b[p]);
+            z[p] -= gs * b[q] * inv_bp2;
+        }
         let (x, y) = xy(&level.r, &level.c, &level.r_alpha, &level.c_beta, alpha);
         // Propagate on the pattern (slot-parallel).
         par::for_each_chunk_mut(&mut g, chunk_len, |block, chunk| {

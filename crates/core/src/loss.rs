@@ -15,8 +15,10 @@
 //! * **Residual path** (mini-batch dense): `R = X_B W − X_B`,
 //!   `∇ = (2/B)·X_BᵀR`.
 //! * **Sparse-support path**: residual scatter plus per-slot dot products,
-//!   `O(B·(d + nnz))`, parallelized over sample rows — the reason LEAST-SP
-//!   never materializes a dense `d×d` object.
+//!   `O(B·(d + nnz))` — the reason LEAST-SP never materializes a dense
+//!   `d×d` object. Residual rows run in parallel over samples and gradient
+//!   slots over CSR rows, each sum in sample order, so the result is the
+//!   same at any pool width.
 //!
 //! The L1 term uses the subgradient `λ·sign(W)` (zero at zero), matching
 //! what TensorFlow autodiff gives the paper's implementation.
@@ -24,6 +26,7 @@
 use least_data::{Dataset, SufficientStats};
 use least_linalg::tile::{at_b_accumulate, Encoding};
 use least_linalg::{par, CsrMatrix, DenseMatrix, LinalgError, Result};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Full-batch Gram-matrix loss state for a fixed dataset.
@@ -255,10 +258,10 @@ impl GramLoss {
     /// cost is `O(Σ_slots nnz(col))` — independent of `n`, with no `d×d`
     /// buffer beyond `G` (the dense path's is `O(d² + d·nnz)`).
     ///
-    /// Parallelized over the CSR row blocks (each slot's gradient is
-    /// computed independently, so gradients are bit-identical at any
-    /// thread count; the scalar loss terms are range-order reductions with
-    /// the usual last-ulp caveat from `least_linalg::par`).
+    /// The products run in parallel over blocks of CSR rows, each slot's
+    /// into its own entry; `⟨W, G⟩`, `⟨W, G·W⟩` and the gradient are then
+    /// finished in one serial pass in slot order, so the result has the
+    /// same bits at any pool width.
     pub fn sparse_value_and_grad(&self, w: &CsrMatrix) -> Result<(f64, Vec<f64>)> {
         let d = w.rows();
         if self.gram.rows() != d || w.cols() != d {
@@ -274,45 +277,33 @@ impl GramLoss {
         for (m, l, v) in w.iter() {
             cols[l].push((m as u32, v));
         }
-        let row_ptr = w.row_pointers();
-        let col_idx = w.col_indices();
-        let vals = w.values();
-        let nf = self.n as f64;
-
-        let partials = par::map_ranges(d, GRAM_SPARSE_ROW_GRAIN, |rows| {
-            let mut wg = 0.0;
-            let mut wm = 0.0;
-            let span = row_ptr[rows.end] as usize - row_ptr[rows.start] as usize;
-            let mut grad = Vec::with_capacity(span);
+        let (row_ptr, col_idx) = (w.row_pointers(), w.col_indices());
+        let mut gw = vec![0.0; w.nnz()];
+        for_each_csr_row_block_mut(w, &mut gw, |rows, out| {
+            let base = row_ptr[rows.start] as usize;
             for j in rows {
                 let g_row = self.gram.row(j);
                 for slot in row_ptr[j] as usize..row_ptr[j + 1] as usize {
-                    let l = col_idx[slot] as usize;
                     let mut m = 0.0;
-                    for &(r, v) in &cols[l] {
+                    for &(r, v) in &cols[col_idx[slot] as usize] {
                         m += g_row[r as usize] * v;
                     }
-                    wg += vals[slot] * g_row[l];
-                    wm += vals[slot] * m;
-                    grad.push(2.0 / nf * (m - g_row[l]));
+                    out[slot - base] = m;
                 }
             }
-            (wg, wm, grad)
         });
 
-        let mut wg = 0.0;
-        let mut wm = 0.0;
+        let nf = self.n as f64;
+        let (mut wg, mut wm) = (0.0, 0.0);
         let mut grad = Vec::with_capacity(w.nnz());
-        for (pg, pm, pgrad) in partials {
-            wg += pg;
-            wm += pm;
-            grad.extend(pgrad);
+        for ((j, l, v), m) in w.iter().zip(gw) {
+            let g_jl = self.gram[(j, l)];
+            wg += v * g_jl;
+            wm += v * m;
+            grad.push(2.0 / nf * (m - g_jl) + self.lambda * sign(v));
         }
         let smooth = (self.trace - 2.0 * wg + wm) / nf;
-        let l1: f64 = vals.iter().map(|v| v.abs()).sum();
-        for (g, &v) in grad.iter_mut().zip(vals) {
-            *g += self.lambda * sign(v);
-        }
+        let l1: f64 = w.values().iter().map(|v| v.abs()).sum();
         Ok((smooth + self.lambda * l1, grad))
     }
 }
@@ -330,8 +321,31 @@ fn check_finite(gram: &DenseMatrix) -> Result<()> {
     }
 }
 
-/// Minimum CSR rows per worker in the sparse Gram-loss path.
-const GRAM_SPARSE_ROW_GRAIN: usize = 16;
+/// Minimum CSR rows per worker in the sparse losses' per-slot kernels.
+const CSR_ROW_GRAIN: usize = 16;
+
+/// Run `f(rows, out)` for blocks of rows of `w` that cover it, where
+/// `out` holds the block's slots of `values` (one entry per stored slot
+/// of `w`, so `out[0]` is slot `row_ptr[rows.start]`). Blocks run in
+/// parallel; they write disjoint slots, so the split never changes a
+/// result.
+fn for_each_csr_row_block_mut<F>(w: &CsrMatrix, values: &mut [f64], f: F)
+where
+    F: Fn(Range<usize>, &mut [f64]) + Sync,
+{
+    let row_ptr = w.row_pointers();
+    let blocks = par::split_ranges(w.rows(), CSR_ROW_GRAIN);
+    let bounds: Vec<usize> = blocks
+        .iter()
+        .skip(1)
+        .map(|rows| row_ptr[rows.start] as usize)
+        .collect();
+    par::for_each_split_mut(values, &bounds, |block, piece| {
+        if let Some(rows) = blocks.get(block) {
+            f(rows.clone(), piece);
+        }
+    });
+}
 
 /// The training loss a backend evaluates every inner iteration, chosen
 /// once when the backend is built (DESIGN.md §9.3).
@@ -360,8 +374,17 @@ pub fn batch_value_and_grad(
 }
 
 /// Sparse-support loss: value plus the gradient restricted to `w`'s CSR
-/// pattern (one entry per stored slot). `O(B·(d + nnz))`, parallelized
-/// over sample rows.
+/// pattern (one entry per stored slot). `O(B·(d + nnz))`.
+///
+/// Every sum runs in sample order, as one serial sweep of the batch adds
+/// it, so the result has the same bits at any pool width:
+///
+/// 1. the residual rows `x_s·W − x_s` are formed row-parallel into a
+///    `B×(d+1)` buffer, each followed by its squared sum;
+/// 2. the squared sums are added in sample order;
+/// 3. each gradient slot `(j, l)` accumulates `x[s,j]·r[s,l]` over the
+///    samples in order, in parallel over blocks of CSR rows, which write
+///    disjoint slots.
 pub fn sparse_value_and_grad(
     x_batch: &DenseMatrix,
     w: &CsrMatrix,
@@ -375,54 +398,18 @@ pub fn sparse_value_and_grad(
         });
     }
     let b = x_batch.rows();
-    let nnz = w.nnz();
-
-    // Each worker owns a disjoint row range and accumulates (loss, grad);
-    // partials are combined in range order, so results are deterministic
-    // run-to-run at a fixed thread count (changing the pool size regroups
-    // the partial sums and may shift the result by an ulp; see
-    // `least_linalg::par` module docs).
-    let partials = least_linalg::par::map_ranges(b, SAMPLE_ROW_GRAIN, |rows| {
-        sparse_loss_rows(x_batch, w, rows.start, rows.end)
-    });
-
-    let mut smooth = 0.0;
-    let mut grad = vec![0.0; nnz];
-    for (s, g) in partials {
-        smooth += s;
-        for (acc, v) in grad.iter_mut().zip(g) {
-            *acc += v;
-        }
-    }
-    let bf = b as f64;
-    smooth /= bf;
-    for g in &mut grad {
-        *g *= 2.0 / bf;
-    }
-    // L1 subgradient on the support.
-    let l1: f64 = w.values().iter().map(|v| v.abs()).sum();
-    for (g, &v) in grad.iter_mut().zip(w.values()) {
-        *g += lambda * sign(v);
-    }
-    Ok((smooth + lambda * l1, grad))
-}
-
-/// Per-worker kernel: residual + gradient contributions of rows `lo..hi`.
-fn sparse_loss_rows(x: &DenseMatrix, w: &CsrMatrix, lo: usize, hi: usize) -> (f64, Vec<f64>) {
-    let d = w.rows();
-    let nnz = w.nnz();
     let row_ptr = w.row_pointers();
     let col_idx = w.col_indices();
     let vals = w.values();
-    let mut grad = vec![0.0; nnz];
-    let mut residual = vec![0.0; d];
-    let mut smooth = 0.0;
-    for s in lo..hi {
-        let x_row = x.row(s);
-        // residual = x_row · W − x_row.
-        residual.copy_from_slice(x_row);
-        for r in &mut residual {
-            *r = -*r;
+
+    // Residual rows, each followed by its squared sum.
+    let stride = d + 1;
+    let mut res = vec![0.0; b * stride];
+    par::for_each_row_mut(&mut res, stride, SAMPLE_ROW_GRAIN, |s, row| {
+        let (residual, sq) = row.split_at_mut(d);
+        let x_row = x_batch.row(s);
+        for (r, &xv) in residual.iter_mut().zip(x_row) {
+            *r = -xv;
         }
         for (j, &xj) in x_row.iter().enumerate() {
             if xj == 0.0 {
@@ -433,23 +420,58 @@ fn sparse_loss_rows(x: &DenseMatrix, w: &CsrMatrix, lo: usize, hi: usize) -> (f6
                 residual[col_idx[slot] as usize] += xj * vals[slot];
             }
         }
-        smooth += residual.iter().map(|r| r * r).sum::<f64>();
-        // grad[slot=(j,l)] += x[s,j] * residual[l].
-        for (j, &xj) in x_row.iter().enumerate() {
-            if xj == 0.0 {
-                continue;
-            }
-            let (start, end) = (row_ptr[j] as usize, row_ptr[j + 1] as usize);
-            for slot in start..end {
-                grad[slot] += xj * residual[col_idx[slot] as usize];
+        sq[0] = residual.iter().map(|r| r * r).sum::<f64>();
+    });
+    let mut smooth = 0.0;
+    for row in res.chunks_exact(stride) {
+        smooth += row[d];
+    }
+
+    // grad[slot=(j,l)] = Σ_s x[s,j]·r[s,l], samples in order.
+    let mut grad = vec![0.0; w.nnz()];
+    let x = x_batch.as_slice();
+    for_each_csr_row_block_mut(w, &mut grad, |rows, out| {
+        let base = row_ptr[rows.start] as usize;
+        // Samples in tiles whose residual rows stay in cache while every
+        // row of the block reads them; each slot still adds its samples
+        // in order.
+        for (t, tile) in res.chunks(SAMPLE_TILE * stride).enumerate() {
+            for j in rows.clone() {
+                let (start, end) = (row_ptr[j] as usize, row_ptr[j + 1] as usize);
+                let (g, cols) = (&mut out[start - base..end - base], &col_idx[start..end]);
+                for (i, r_row) in tile.chunks_exact(stride).enumerate() {
+                    let xj = x[(t * SAMPLE_TILE + i) * d + j];
+                    if xj == 0.0 {
+                        continue;
+                    }
+                    for (gv, &l) in g.iter_mut().zip(cols) {
+                        *gv += xj * r_row[l as usize];
+                    }
+                }
             }
         }
+    });
+
+    let bf = b as f64;
+    smooth /= bf;
+    for g in &mut grad {
+        *g *= 2.0 / bf;
     }
-    (smooth, grad)
+    // L1 subgradient on the support.
+    let l1: f64 = vals.iter().map(|v| v.abs()).sum();
+    for (g, &v) in grad.iter_mut().zip(vals) {
+        *g += lambda * sign(v);
+    }
+    Ok((smooth + lambda * l1, grad))
 }
 
-/// Minimum sample rows per worker in the parallel sparse-loss path.
+/// Minimum sample rows per worker when forming the sparse loss's
+/// residuals.
 const SAMPLE_ROW_GRAIN: usize = 8;
+
+/// Samples per tile of the sparse loss's gradient: 16 residual rows of a
+/// d = 5000 problem are 640 KB, which stay in L2.
+const SAMPLE_TILE: usize = 16;
 
 /// `grad += λ·sign(w)` element-wise (0 at 0).
 fn add_l1_subgradient(grad: &mut DenseMatrix, w: &DenseMatrix, lambda: f64) {

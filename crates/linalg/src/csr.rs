@@ -267,27 +267,14 @@ impl CsrMatrix {
         out
     }
 
-    /// Column sums, `O(nnz)`; for large matrices each thread scatters into
-    /// a private accumulator and the partials are combined in row order.
+    /// Column sums, `O(nnz)`: one serial scatter in row order, so every
+    /// sum adds its terms in the same order at any pool width.
     pub fn col_sums(&self) -> Vec<f64> {
-        if !self.parallel_worthwhile() {
-            let mut sums = vec![0.0; self.cols];
-            for (&c, &v) in self.col_idx.iter().zip(&self.values) {
-                sums[c as usize] += v;
-            }
-            return sums;
+        let mut sums = vec![0.0; self.cols];
+        for (&c, &v) in self.col_idx.iter().zip(&self.values) {
+            sums[c as usize] += v;
         }
-        par::accumulate_ranges(self.rows, self.rows_per_block(), self.cols, |rows| {
-            let mut local = vec![0.0; self.cols];
-            let (s, e) = (
-                self.row_ptr[rows.start] as usize,
-                self.row_ptr[rows.end] as usize,
-            );
-            for (&c, &v) in self.col_idx[s..e].iter().zip(&self.values[s..e]) {
-                local[c as usize] += v;
-            }
-            local
-        })
+        sums
     }
 
     /// Sum of absolute values.

@@ -1,9 +1,9 @@
 //! Scoped-thread data parallelism for the workspace's hot loops.
 //!
 //! The offline crate set has no `rayon`, so this module provides the small
-//! subset the kernels actually need — block `map`/`for_each` over index
-//! ranges — on `std::thread::scope`. Every entry point degrades to a plain
-//! serial loop when any of the following holds:
+//! subset the kernels actually need — `for_each` over disjoint mutable
+//! partitions — on `std::thread::scope`. Every entry point degrades to a
+//! plain serial loop when any of the following holds:
 //!
 //! * the crate is built without the `parallel` feature (the CI
 //!   `--no-default-features` build): [`max_threads`] is compile-time 1;
@@ -14,14 +14,12 @@
 //!   `engine_throughput` benchmark measures serial and parallel paths in
 //!   one process.
 //!
-//! Determinism: parallelism here only ever partitions *independent* work
-//! (disjoint output rows, or per-range partial reductions combined in
-//! range order), so results are bit-identical from run to run at a fixed
-//! thread count. Across *different* thread counts, disjoint-write kernels
-//! are still bit-identical, but reductions regroup their partial sums
-//! (the partition depends on the pool size), so those may differ at the
-//! last ulp — use a pinned `LEAST_NUM_THREADS` when bit-for-bit
-//! cross-machine reproducibility matters.
+//! Determinism: any pool width gives the serial build's bits. Work is only
+//! ever split into *disjoint writes* — each output entry is computed by
+//! one worker, by the same arithmetic as the serial loop — and there is no
+//! parallel reduction: a sum whose terms span workers is added by the
+//! caller afterwards, serially and in the serial loop's order. The
+//! partition may follow the pool width; no result does.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,61 +94,6 @@ pub fn split_ranges(n: usize, grain: usize) -> Vec<Range<usize>> {
         .map(|t| t * per..((t + 1) * per).min(n))
         .filter(|r| !r.is_empty())
         .collect()
-}
-
-/// Apply `f` to each range of a [`split_ranges`] partition of `0..n`,
-/// in parallel, returning the per-range results in range order. The first
-/// range runs on the calling thread.
-pub fn map_ranges<R, F>(n: usize, grain: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let ranges = split_ranges(n, grain);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
-    }
-    let mut out: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let (first_slot, rest_slots) = out.split_first_mut().expect("non-empty");
-        let mut ranges_iter = ranges.into_iter();
-        let first_range = ranges_iter.next().expect("non-empty");
-        for (slot, range) in rest_slots.iter_mut().zip(ranges_iter) {
-            let f = &f;
-            scope.spawn(move || *slot = Some(f(range)));
-        }
-        *first_slot = Some(f(first_range));
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker completed"))
-        .collect()
-}
-
-/// Sum `f` over a [`split_ranges`] partition of `0..n`. Partial sums are
-/// combined in range order, so the result is deterministic for a given
-/// partition.
-pub fn sum_ranges(n: usize, grain: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
-    map_ranges(n, grain, f).into_iter().sum()
-}
-
-/// Element-wise vector reduction of per-range partial vectors: each range
-/// of `0..n` produces a `Vec<f64>` of length `len`, and the partials are
-/// accumulated in range order.
-pub fn accumulate_ranges(
-    n: usize,
-    grain: usize,
-    len: usize,
-    f: impl Fn(Range<usize>) -> Vec<f64> + Sync,
-) -> Vec<f64> {
-    let partials = map_ranges(n, grain, f);
-    let mut acc = vec![0.0; len];
-    for partial in partials {
-        debug_assert_eq!(partial.len(), len);
-        for (a, v) in acc.iter_mut().zip(partial) {
-            *a += v;
-        }
-    }
-    acc
 }
 
 /// Process `data` in parallel as disjoint chunks of `chunk_len` elements;
@@ -266,38 +209,6 @@ mod tests {
     #[test]
     fn split_empty_input() {
         assert!(split_ranges(0, 4).is_empty());
-    }
-
-    #[test]
-    fn map_ranges_preserves_order() {
-        let firsts = map_ranges(100, 1, |r| r.start);
-        let mut sorted = firsts.clone();
-        sorted.sort_unstable();
-        assert_eq!(firsts, sorted);
-    }
-
-    #[test]
-    fn sum_matches_serial() {
-        let expected: f64 = (0..10_000).map(|i| i as f64).sum();
-        let got = sum_ranges(10_000, 64, |r| r.map(|i| i as f64).sum());
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn accumulate_matches_serial_scatter() {
-        // Scatter i -> i % 7 with weight i, in parallel partials.
-        let got = accumulate_ranges(1_000, 16, 7, |r| {
-            let mut local = vec![0.0; 7];
-            for i in r {
-                local[i % 7] += i as f64;
-            }
-            local
-        });
-        let mut expected = vec![0.0; 7];
-        for i in 0..1_000 {
-            expected[i % 7] += i as f64;
-        }
-        assert_eq!(got, expected);
     }
 
     #[test]
