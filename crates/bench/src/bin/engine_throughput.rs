@@ -14,7 +14,7 @@
 //! (override the path with `LEAST_BENCH_OUT`).
 //!
 //! A third workload, **dense d=200 thresholded**, fits from sufficient
-//! statistics for two fixed rounds at θ = 0.05 and reports the time per
+//! statistics for three fixed rounds at θ = 0.05 and reports the time per
 //! inner iteration of each round. Round 0 trains the dense iterate until
 //! its filter starts (DESIGN.md §6); from the first filter on the solver
 //! iterates on `W`'s support. Beside the times it records, per round,
@@ -24,7 +24,11 @@
 //! per dense iteration (the nonzero products of the tiled gather, whose
 //! 4 × 8 tiles also multiply the zeros of each 4-column block of `W` they
 //! visit), `Σ_l nnz_l²` per support iteration — next to the `d³` per
-//! iteration of the full `G·W` product.
+//! iteration of the full `G·W` product. A round can mix the two regimes
+//! (on this workload round 1's first iteration is dense and the rest run
+//! on the support), so the regimes are also reported on their own rows:
+//! each from the rounds whose every iteration ran in it (round 0 dense,
+//! round 2 on the support).
 //!
 //! In a `--no-default-features` build the pool is compile-time 1, so both
 //! measurements coincide and `parallel_feature` records the fact.
@@ -36,6 +40,7 @@ use least_data::{sample_lsem_sparse, Dataset, NoiseModel, Preprocess, Sufficient
 use least_graph::{erdos_renyi_dag, weighted_adjacency_sparse, WeightRange};
 use least_linalg::{par, Xoshiro256pp};
 use least_serve::json::JsonValue;
+use std::time::Duration;
 
 /// Best-of repetitions per measurement.
 const REPS: usize = 3;
@@ -113,7 +118,10 @@ fn run_once(w: &Workload) -> f64 {
     }
 }
 
-/// The thresholded dense workload: d = 200, θ = 0.05, two fixed rounds.
+/// Fixed rounds of the thresholded dense workload.
+const ROUNDS: usize = 3;
+
+/// The thresholded dense workload: d = 200, θ = 0.05, three fixed rounds.
 struct Thresholded {
     stats: SufficientStats,
     cfg: LeastConfig,
@@ -126,7 +134,7 @@ impl Thresholded {
         let cfg = LeastConfig {
             lambda: 0.1,
             theta: 0.05,
-            max_outer: 2,
+            max_outer: ROUNDS,
             max_inner: 50,
             inner_tol: 0.0,
             epsilon: 1e-12,
@@ -135,22 +143,22 @@ impl Thresholded {
         Self { stats, cfg }
     }
 
-    /// Best-of-`REPS` seconds per inner iteration of rounds 0 and 1, and
-    /// each round's counts (the same in every repetition).
-    fn per_round(&self) -> ([f64; 2], [RoundCounts; 2]) {
+    /// Best-of-`REPS` seconds per inner iteration of each round, and each
+    /// round's counts (the same in every repetition).
+    fn per_round(&self) -> ([f64; ROUNDS], [RoundCounts; ROUNDS]) {
         let solver = LeastDense::new(self.cfg).expect("config");
-        let mut best = [f64::INFINITY; 2];
-        let mut counts = [RoundCounts::default(); 2];
+        let mut best = [f64::INFINITY; ROUNDS];
+        let mut counts = [RoundCounts::default(); ROUNDS];
         for _ in 0..REPS {
             let fit = solver.fit_stats(&self.stats).expect("fit");
             let points = fit.trace.points();
-            assert_eq!(points.len(), 2, "two fixed rounds");
-            let ends = [points[0].elapsed, points[1].elapsed];
-            let rounds = [ends[0], ends[1] - ends[0]];
+            assert_eq!(points.len(), ROUNDS, "{ROUNDS} fixed rounds");
             let mut on_support = false;
-            for r in 0..2 {
-                let p = &points[r];
-                best[r] = best[r].min(rounds[r].as_secs_f64() / p.inner_iters as f64);
+            let mut start = Duration::ZERO;
+            for (r, p) in points.iter().enumerate() {
+                let round = p.elapsed - start;
+                start = p.elapsed;
+                best[r] = best[r].min(round.as_secs_f64() / p.inner_iters as f64);
                 // The dense backend moves to the support at its first
                 // filter; that iteration's loss still ran dense.
                 let dense_iters = match (on_support, p.filter_from) {
@@ -242,7 +250,7 @@ fn main() {
     par::set_thread_override(None);
     let (parallel, _) = thresholded.per_round();
     let mut rounds = Vec::new();
-    for r in 0..2 {
+    for r in 0..ROUNDS {
         let c = counts[r];
         let full = (d.pow(3) * (c.dense_iters + c.support_iters)) as u64;
         let filter_from = c.filter_from.map_or("-".into(), |it| it.to_string());
@@ -273,6 +281,53 @@ fn main() {
         ]));
     }
     table.print();
+
+    // Each regime from the rounds that ran wholly in it, weighted by
+    // their iterations.
+    let mut regime_table = Table::new(&[
+        "regime",
+        "rounds",
+        "iterations",
+        "serial_ms",
+        "parallel_ms",
+        "loss madds/iter",
+    ]);
+    let mut regimes = Vec::new();
+    for (name, dense) in [("dense", true), ("support", false)] {
+        let in_regime = |c: &RoundCounts| if dense { c.support_iters } else { c.dense_iters } == 0;
+        let members: Vec<usize> = (0..ROUNDS).filter(|&r| in_regime(&counts[r])).collect();
+        let iters = |r: usize| (counts[r].dense_iters + counts[r].support_iters) as f64;
+        let total: f64 = members.iter().map(|&r| iters(r)).sum();
+        let per_iter = |times: &[f64; ROUNDS]| {
+            members.iter().map(|&r| times[r] * iters(r)).sum::<f64>() / total * 1e3
+        };
+        let madds = members
+            .iter()
+            .map(|&r| counts[r].loss_madds as f64)
+            .sum::<f64>()
+            / total;
+        let names: Vec<String> = members.iter().map(usize::to_string).collect();
+        regime_table.row(vec![
+            name.into(),
+            names.join(","),
+            total.to_string(),
+            fmt(per_iter(&serial)),
+            fmt(per_iter(&parallel)),
+            fmt(madds),
+        ]);
+        regimes.push(JsonValue::obj(vec![
+            ("regime", JsonValue::Str(name.into())),
+            (
+                "rounds",
+                JsonValue::Arr(members.iter().map(|&r| JsonValue::Num(r as f64)).collect()),
+            ),
+            ("iterations", JsonValue::Num(total)),
+            ("serial_ms_per_iter", JsonValue::Num(per_iter(&serial))),
+            ("parallel_ms_per_iter", JsonValue::Num(per_iter(&parallel))),
+            ("loss_madds_per_iter", JsonValue::Num(madds)),
+        ]));
+    }
+    regime_table.print();
     let thresholded_entry = JsonValue::obj(vec![
         ("name", JsonValue::Str("dense_d200_thresholded".into())),
         ("d", JsonValue::Num(d as f64)),
@@ -282,6 +337,7 @@ fn main() {
             JsonValue::Num(thresholded.cfg.max_inner as f64),
         ),
         ("rounds", JsonValue::Arr(rounds)),
+        ("regimes", JsonValue::Arr(regimes)),
     ]);
 
     least_bench::emit_report(

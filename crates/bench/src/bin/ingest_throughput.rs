@@ -4,8 +4,16 @@
 //!
 //! 1. **Ingestion throughput** — streaming a generated LSEM dataset from
 //!    disk (CSV and `LEASTDAT` binary) into `SufficientStats`, reported
-//!    as rows/s and MB/s, with the two formats asserted to produce
-//!    identical statistics.
+//!    as rows/s and MB/s, with the formats asserted to produce identical
+//!    statistics. The CSV parse alone (`CsvReader` drained, no Gram
+//!    update) is timed at pool width 1 and at the configured width, as
+//!    ns/field and MB/s, on the file as the writer prints it (`{v}`,
+//!    plain decimals: the byte path) and on the same values printed in
+//!    exponent notation (`{:e}`, which no field of takes the byte path).
+//!    Beside each, the `str` line loop the reader used before its byte
+//!    path (`read_line`, `split`, `trim`, `str::parse`) is timed on the
+//!    same file, and the share of fields in the byte path's form is
+//!    counted.
 //! 2. **n-independence of training** — per-iteration wall time of
 //!    `LeastDense::fit_stats` at a fixed `d` for statistics accumulated
 //!    over n = 10⁴ versus n = 10⁶ rows (the big accumulation streams
@@ -32,14 +40,23 @@ use least_data::{
     export_binary, export_csv, sample_lsem, Dataset, NoiseModel, Preprocess, SufficientStats,
 };
 use least_graph::{erdos_renyi_dag, weighted_adjacency_dense, WeightRange};
-use least_ingest::{ingest_binary, ingest_csv, GramAccumulator, IngestConfig};
+use least_ingest::decimal::parse_plain_decimal;
+use least_ingest::{
+    ingest_binary, ingest_csv, ChunkSource, CsvReader, GramAccumulator, IngestConfig,
+};
 use least_linalg::tile::Encoding;
 use least_linalg::{par, DenseMatrix, PackedSym, Xoshiro256pp};
 use least_serve::json::JsonValue;
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Best-of repetitions per timed measurement.
 const REPS: usize = 3;
+/// Best-of repetitions of each CSV parse: one takes ~30 ms, so more runs
+/// fit, and the readers' ~10 % differences need them on a shared host.
+const PARSE_REPS: usize = 9;
 /// Fixed inner iterations per timed fit (no early exit). Sized so one
 /// fit is ~10 ms at the default `d`: long enough that the CI gate on the
 /// per-iteration ratio measures compute, not scheduler noise.
@@ -108,6 +125,73 @@ fn time_gram_update(chunk: &DenseMatrix, chunks: usize, encoding: Encoding) -> f
     .as_secs_f64()
 }
 
+/// Write `data` as CSV with every value in exponent notation (`{:e}`,
+/// shortest round trip), under the header `export_csv` writes.
+fn export_csv_exponent(data: &Dataset, path: &Path) {
+    let mut out = BufWriter::new(File::create(path).expect("create csv"));
+    let names: Vec<String> = (0..data.num_vars()).map(|j| format!("x{j}")).collect();
+    writeln!(out, "{}", names.join(",")).expect("write header");
+    for row in data.matrix().rows_iter() {
+        let fields: Vec<String> = row.iter().map(|v| format!("{v:e}")).collect();
+        writeln!(out, "{}", fields.join(",")).expect("write row");
+    }
+    out.flush().expect("flush csv");
+}
+
+/// Drain `path` through `CsvReader` without accumulating: the parse
+/// alone. Returns the fields read.
+fn parse_csv(path: &Path) -> usize {
+    let mut reader = CsvReader::open(path).expect("open csv");
+    let mut fields = 0;
+    while let Some(chunk) = reader
+        .next_chunk(IngestConfig::default().chunk_rows)
+        .expect("parse csv")
+    {
+        fields += chunk.as_slice().len();
+    }
+    fields
+}
+
+/// The parse loop of the reader before its byte path: each line read into
+/// a `String`, split on commas, every trimmed field through `str::parse`
+/// and checked finite. Returns the fields read.
+fn parse_csv_str_lines(path: &Path) -> usize {
+    let mut input = BufReader::new(File::open(path).expect("open csv"));
+    let mut line = String::new();
+    input.read_line(&mut line).expect("read header");
+    let mut values = Vec::new();
+    loop {
+        line.clear();
+        if input.read_line(&mut line).expect("read line") == 0 {
+            break;
+        }
+        for field in line.trim_end_matches(['\n', '\r']).split(',') {
+            let v: f64 = field.trim().parse().expect("number");
+            assert!(v.is_finite(), "finite field");
+            values.push(v);
+        }
+    }
+    values.len()
+}
+
+/// Share of the data fields of the CSV at `path` that are in the form
+/// the reader converts from bytes.
+fn byte_path_share(path: &Path) -> f64 {
+    let text = std::fs::read(path).expect("read csv");
+    let (mut plain, mut total) = (0usize, 0usize);
+    for line in text
+        .split(|&b| b == b'\n')
+        .skip(1)
+        .filter(|l| !l.is_empty())
+    {
+        for field in line.split(|&b| b == b',') {
+            plain += usize::from(parse_plain_decimal(field).is_some());
+            total += 1;
+        }
+    }
+    plain as f64 / total as f64
+}
+
 fn main() {
     let full = least_bench::full_scale();
     let d = if full { 64 } else { 32 };
@@ -128,10 +212,13 @@ fn main() {
         sample_lsem(&w, file_rows, NoiseModel::standard_gaussian(), &mut rng).expect("sample"),
     );
     let csv_path = temp("data.csv");
+    let exp_path = temp("data_exp.csv");
     let bin_path = temp("data.dat");
     export_csv(&file_data, &csv_path).expect("export csv");
+    export_csv_exponent(&file_data, &exp_path);
     export_binary(&file_data, &bin_path).expect("export binary");
     let csv_bytes = std::fs::metadata(&csv_path).expect("csv size").len();
+    let exp_bytes = std::fs::metadata(&exp_path).expect("csv size").len();
     let bin_bytes = std::fs::metadata(&bin_path).expect("bin size").len();
 
     let ingest_cfg = IngestConfig::default();
@@ -144,11 +231,10 @@ fn main() {
     })
     .as_secs_f64();
     let from_csv = ingest_csv(&csv_path, &ingest_cfg).expect("ingest csv");
+    let from_exp = ingest_csv(&exp_path, &ingest_cfg).expect("ingest csv");
     let from_bin = ingest_binary(&bin_path, &ingest_cfg).expect("ingest binary");
-    let formats_agree = from_csv == from_bin;
+    let formats_agree = from_csv == from_bin && from_exp == from_bin;
     assert!(formats_agree, "csv and binary ingestion diverged");
-    std::fs::remove_file(&csv_path).ok();
-    std::fs::remove_file(&bin_path).ok();
 
     let mut io_table = Table::new(&["format", "bytes", "seconds", "rows/s", "MB/s"]);
     for (name, bytes, secs) in [("csv", csv_bytes, csv_s), ("binary", bin_bytes, bin_s)] {
@@ -161,6 +247,80 @@ fn main() {
         ]);
     }
     io_table.print();
+
+    // ── Phase 1b: the CSV parse alone ─────────────────────────────────
+    let fields = file_rows * d;
+    heading(&format!(
+        "CSV parse: {fields} fields, decimal (`{{v}}`) and exponent (`{{:e}}`) text, \
+         best of {PARSE_REPS}"
+    ));
+    let mut widths = vec![1, par::max_threads()];
+    widths.dedup();
+    let mut parse_table = Table::new(&[
+        "text",
+        "reader",
+        "threads",
+        "seconds",
+        "ns/field",
+        "MB/s",
+        "byte path",
+    ]);
+    let mut parse_runs = Vec::new();
+    let readers = [
+        ("csv_reader", parse_csv as fn(&Path) -> usize),
+        ("str_lines", parse_csv_str_lines),
+    ];
+    for (text, path, bytes) in [
+        ("decimal", &csv_path, csv_bytes),
+        ("exponent", &exp_path, exp_bytes),
+    ] {
+        let share = byte_path_share(path);
+        for &threads in &widths {
+            par::set_thread_override(Some(threads));
+            // The readers take turns, so a slow spell of a shared host
+            // falls on both.
+            let mut best = [f64::INFINITY; 2];
+            for _ in 0..PARSE_REPS {
+                for ((reader, parse), best) in readers.iter().zip(&mut best) {
+                    let start = Instant::now();
+                    assert_eq!(parse(path), fields, "{reader} read every field");
+                    *best = best.min(start.elapsed().as_secs_f64());
+                }
+            }
+            for ((reader, _), secs) in readers.into_iter().zip(best) {
+                let ns_per_field = secs * 1e9 / fields as f64;
+                let mb_per_s = bytes as f64 / 1e6 / secs;
+                parse_table.row(vec![
+                    text.into(),
+                    reader.into(),
+                    threads.to_string(),
+                    fmt(secs),
+                    fmt(ns_per_field),
+                    fmt(mb_per_s),
+                    fmt(share),
+                ]);
+                parse_runs.push(JsonValue::obj(vec![
+                    ("text", JsonValue::Str(text.into())),
+                    ("reader", JsonValue::Str(reader.into())),
+                    ("threads", JsonValue::Num(threads as f64)),
+                    ("bytes", JsonValue::Num(bytes as f64)),
+                    ("seconds", JsonValue::Num(secs)),
+                    ("ns_per_field", JsonValue::Num(ns_per_field)),
+                    ("mb_per_s", JsonValue::Num(mb_per_s)),
+                    ("byte_path_share", JsonValue::Num(share)),
+                ]));
+            }
+            par::set_thread_override(None);
+        }
+    }
+    parse_table.print();
+    let csv_parse = JsonValue::obj(vec![
+        ("fields", JsonValue::Num(fields as f64)),
+        ("runs", JsonValue::Arr(parse_runs)),
+    ]);
+    for path in [&csv_path, &exp_path, &bin_path] {
+        std::fs::remove_file(path).ok();
+    }
 
     // ── Phase 2: per-iteration independence from n ────────────────────
     let accumulate_start = std::time::Instant::now();
@@ -223,8 +383,6 @@ fn main() {
         "Gram update: d={UPDATE_D}, {UPDATE_CHUNKS} chunks of {chunk_rows} rows, \
          {update_madds} multiply-adds, best of {REPS}"
     ));
-    let mut widths = vec![1, par::max_threads()];
-    widths.dedup();
     let mut update_table = Table::new(&["encoding", "threads", "seconds", "GFLOP/s"]);
     let mut update_runs = Vec::new();
     for encoding in Encoding::ALL {
@@ -281,6 +439,7 @@ fn main() {
                 JsonValue::Num(file_rows as f64 / bin_s),
             ),
             ("formats_agree_bitwise", JsonValue::Bool(formats_agree)),
+            ("csv_parse", csv_parse),
             ("train_iters", JsonValue::Num(ITERS as f64)),
             ("n_small", JsonValue::Num(n_small as f64)),
             ("n_big", JsonValue::Num(n_big as f64)),

@@ -83,6 +83,11 @@ impl GramAccumulator {
     }
 }
 
+/// Minimum additions per worker in [`accumulate_col_sums`]: below it a
+/// thread costs more than the sums it would take (a d = 16 chunk of a few
+/// thousand rows is summed serially).
+const COL_SUMS_GRAIN: usize = 1 << 18;
+
 /// `sums[j] += Σ_s chunk[s, j]`, column-parallel: each column's running
 /// total accumulates sequentially in sample order, so the result is
 /// bit-identical at any thread count and under any re-chunking.
@@ -91,7 +96,9 @@ fn accumulate_col_sums(sums: &mut [f64], chunk: &DenseMatrix) {
     if d == 0 || chunk.rows() == 0 {
         return;
     }
-    let cols_per = d.div_ceil(par::max_threads()).max(1);
+    let cols_per = d
+        .div_ceil(par::max_threads())
+        .max(COL_SUMS_GRAIN.div_ceil(chunk.rows()));
     par::for_each_chunk_mut(sums, cols_per, |piece_idx, piece| {
         let j0 = piece_idx * cols_per;
         for s in 0..chunk.rows() {
@@ -196,16 +203,25 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_the_statistics() {
-        let x = random(120, 24, 43);
-        let cfg = IngestConfig {
-            chunk_rows: 50,
-            preprocess: Preprocess::Center,
-        };
-        par::set_thread_override(Some(1));
-        let serial = ingest_source(&mut MemSource::new(x.clone()), &cfg).unwrap();
-        par::set_thread_override(None);
-        let parallel = ingest_source(&mut MemSource::new(x), &cfg).unwrap();
-        assert_eq!(serial, parallel);
+        // d = 16 and 24 sum their columns serially (under the grain); the
+        // 9000 × 64 stream's first chunk splits them across workers.
+        for (n, d, chunk_rows) in [(120, 16, 50), (120, 24, 50), (9000, 64, 8192)] {
+            let x = random(n, d, 43);
+            let cfg = IngestConfig {
+                chunk_rows,
+                preprocess: Preprocess::Center,
+            };
+            let at_width = |threads| {
+                par::set_thread_override(Some(threads));
+                let stats = ingest_source(&mut MemSource::new(x.clone()), &cfg).unwrap();
+                par::set_thread_override(None);
+                stats
+            };
+            let serial = at_width(1);
+            for threads in [2, 3] {
+                assert_eq!(at_width(threads), serial, "d = {d} at width {threads}");
+            }
+        }
     }
 
     #[test]

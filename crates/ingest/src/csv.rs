@@ -4,12 +4,22 @@
 //! than one chunk of rows; malformed input (ragged rows, non-numeric or
 //! non-finite fields, missing header, stray blank lines) is reported as an
 //! error with a line number — never a panic.
+//!
+//! Rows are read as bytes. A field in the plain decimal form the writer
+//! prints is converted straight from them ([`crate::decimal`], exact);
+//! any other field goes through `str::trim` and `str::parse::<f64>`, and a
+//! row that fails either way is re-read as text, field by field, so the
+//! accepted language, every value and every error are those of the
+//! line-by-line `str` reader (DESIGN.md §9.1). Once a row is mostly
+//! fields of other forms, the reader parses the rows after it as text
+//! directly, which costs what the line reader cost.
 
+use crate::decimal;
 use crate::source::ChunkSource;
 use least_data::io::io_err;
 use least_linalg::{DenseMatrix, LinalgError, Result};
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
 /// A CSV dataset streamed row-chunk by row-chunk.
@@ -21,6 +31,13 @@ pub struct CsvReader<R> {
     line: u64,
     /// Set once the logical end of data is reached.
     done: bool,
+    /// The line being read, reused from row to row.
+    bytes: Vec<u8>,
+    /// Set once a row had more fields outside the byte path's form than
+    /// in it (a file written in exponent notation, say): later rows go
+    /// straight to the text parser, at the line reader's cost, instead of
+    /// trying every field in bytes first.
+    text_rows: bool,
 }
 
 impl CsvReader<BufReader<File>> {
@@ -28,6 +45,21 @@ impl CsvReader<BufReader<File>> {
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Self::from_reader(BufReader::new(File::open(&path).map_err(io_err)?))
     }
+}
+
+/// `line` as text, or the error reading it as text gives.
+fn as_text(line: &[u8]) -> Result<&str> {
+    std::str::from_utf8(line).map_err(|_| {
+        io_err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))
+    })
+}
+
+/// Whether `line` is blank (`str::trim` leaves nothing of it).
+fn is_blank(line: &[u8]) -> Result<bool> {
+    Ok(as_text(line)?.trim().is_empty())
 }
 
 impl<R: BufRead> CsvReader<R> {
@@ -51,10 +83,59 @@ impl<R: BufRead> CsvReader<R> {
             names,
             line: 2,
             done: false,
+            bytes: Vec::new(),
+            text_rows: false,
         })
     }
 
-    fn parse_row(&self, line: &str, out: &mut Vec<f64>) -> Result<()> {
+    /// Read the next line into `self.bytes`; `false` at the end of input.
+    fn read_line(&mut self) -> Result<bool> {
+        self.bytes.clear();
+        let read = self.input.read_until(b'\n', &mut self.bytes);
+        Ok(read.map_err(io_err)? > 0)
+    }
+
+    /// Append the values of `line` (terminators stripped) to `out`, and
+    /// return how many fields were not plain decimals. Plain decimals
+    /// convert from the bytes; other fields go through `str::parse`. A
+    /// row that fails either way, or has the wrong number of fields, is
+    /// handed whole to [`Self::parse_text_row`], which reports the error.
+    fn parse_row(&self, line: &[u8], out: &mut Vec<f64>) -> Result<usize> {
+        let d = self.names.len();
+        let start = out.len();
+        let mut rest = line;
+        let mut fallbacks = 0;
+        for field in 1..=d {
+            let (v, len) = match decimal::parse_field(rest) {
+                Some(parsed) => parsed,
+                None => {
+                    fallbacks += 1;
+                    let len = rest.iter().position(|&b| b == b',').unwrap_or(rest.len());
+                    let parsed = std::str::from_utf8(&rest[..len])
+                        .ok()
+                        .and_then(|text| text.trim().parse::<f64>().ok())
+                        .filter(|v| v.is_finite());
+                    match parsed {
+                        Some(v) => (v, len),
+                        None => break,
+                    }
+                }
+            };
+            out.push(v);
+            match rest.get(len) {
+                None if field == d => return Ok(fallbacks),
+                Some(_) if field < d => rest = &rest[len + 1..],
+                _ => break,
+            }
+        }
+        out.truncate(start);
+        self.parse_text_row(as_text(line)?, out)?;
+        Ok(d)
+    }
+
+    /// The row parser on text: the reference for [`Self::parse_row`],
+    /// and the one that words its errors.
+    fn parse_text_row(&self, line: &str, out: &mut Vec<f64>) -> Result<()> {
         let mut fields = 0usize;
         for field in line.split(',') {
             fields += 1;
@@ -103,25 +184,21 @@ impl<R: BufRead> ChunkSource for CsvReader<R> {
         let d = self.names.len();
         let mut values: Vec<f64> = Vec::with_capacity(max_rows.min(1 << 16) * d);
         let mut rows = 0usize;
-        let mut line = String::new();
         while rows < max_rows {
-            line.clear();
-            let read = self.input.read_line(&mut line).map_err(io_err)?;
-            if read == 0 {
+            if !self.read_line()? {
                 self.done = true;
                 break;
             }
-            if line.trim().is_empty() {
+            // A row that starts with a digit or '-' is not blank: the
+            // common case skips the UTF-8 pass `is_blank` makes.
+            let starts_number = matches!(self.bytes.first(), Some(b'0'..=b'9' | b'-'));
+            if !starts_number && is_blank(&self.bytes)? {
                 // Blank lines are legal only as trailing padding: anything
                 // non-blank after one is malformed, not a resumption. Scan
                 // forward line by line (bounded memory — the remainder may
                 // be most of the file) and fail on the first non-blank.
-                loop {
-                    line.clear();
-                    if self.input.read_line(&mut line).map_err(io_err)? == 0 {
-                        break;
-                    }
-                    if !line.trim().is_empty() {
+                while self.read_line()? {
+                    if !is_blank(&self.bytes)? {
                         return Err(LinalgError::InvalidArgument(format!(
                             "line {}: blank line in the middle of the data",
                             self.line
@@ -131,7 +208,17 @@ impl<R: BufRead> ChunkSource for CsvReader<R> {
                 self.done = true;
                 break;
             }
-            self.parse_row(line.trim_end_matches(['\n', '\r']), &mut values)?;
+            let end = self
+                .bytes
+                .iter()
+                .rposition(|&b| b != b'\n' && b != b'\r')
+                .map_or(0, |i| i + 1);
+            let line = &self.bytes[..end];
+            if self.text_rows {
+                self.parse_text_row(as_text(line)?, &mut values)?;
+            } else {
+                self.text_rows = 2 * self.parse_row(line, &mut values)? > d;
+            }
             self.line += 1;
             rows += 1;
         }

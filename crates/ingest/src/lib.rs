@@ -53,6 +53,7 @@
 pub mod accumulate;
 pub mod binary;
 pub mod csv;
+pub mod decimal;
 pub mod source;
 
 pub use accumulate::{ingest_source, GramAccumulator, IngestConfig};

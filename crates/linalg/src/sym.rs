@@ -9,10 +9,11 @@
 //! ## The kernel
 //!
 //! The update runs the register-tiled `Aᵀ·B` micro-kernel of
-//! [`crate::tile`] over the packed triangle: `4 × 8` tiles of `G` whose
-//! rows all lie on or above the diagonal, with the diagonal strip and
-//! the edges in narrower tiles. Samples go through in blocks of 256 rows,
-//! so the block stays in L2 while every tile reads it.
+//! [`crate::tile`] over the packed triangle: `4 × 8` tiles of `G` (`4 × 16`
+//! in the AVX-512 encoding) whose rows all lie on or above the diagonal,
+//! with the diagonal strip and the edges in narrower tiles. Samples go
+//! through in blocks of 256 rows, so the block stays in L2 while every
+//! tile reads it.
 //!
 //! ## Determinism contract
 //!
@@ -31,18 +32,18 @@
 //!   started from zero and folded in later), so re-chunking the stream
 //!   never re-associates a sum;
 //! * the tile's extra zero-lane products are exact no-ops on finite
-//!   samples, and both encodings round every product before adding it
+//!   samples, and every encoding rounds every product before adding it
 //!   ([`crate::tile`]).
 //!
 //! Result: `rank_update` over any chunking of the same row stream, at any
-//! thread count and in either encoding, is **bit-identical**. (Contrast
+//! thread count and in any encoding, is **bit-identical**. (Contrast
 //! with the reduction-style kernels documented in [`crate::par`], which
 //! are only deterministic at a fixed pool size.)
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::par;
-use crate::tile::{tile, Encoding, TILE_COLS, TILE_ROWS};
+use crate::tile::{tile, tile_row, Encoding, TILE_COLS, TILE_ROWS, WIDE_TILE_COLS};
 use crate::Result;
 use std::ops::Range;
 
@@ -73,7 +74,13 @@ fn row_offset(d: usize, j: usize) -> usize {
 /// on. Sample blocks run in order and each tile runs its block's samples
 /// in order, so every entry adds its products in sample order.
 #[inline(always)]
-fn rank_update_rows(x: &[f64], m: usize, d: usize, rows: Range<usize>, out: &mut [f64]) {
+fn rank_update_rows<const NB: usize>(
+    x: &[f64],
+    m: usize,
+    d: usize,
+    rows: Range<usize>,
+    out: &mut [f64],
+) {
     let base = row_offset(d, rows.start);
     let at = |j: usize, l: usize| row_offset(d, j) - base + (l - j);
     let col = |l: usize| (&x[l..], d);
@@ -88,25 +95,13 @@ fn rank_update_rows(x: &[f64], m: usize, d: usize, rows: Range<usize>, out: &mut
                     tile::<1, 1>(out, [at(r, l)], col(r), col(l), samples.clone());
                 }
             }
-            let first = j + TILE_ROWS - 1;
-            let full_end = d - (d - first) % TILE_COLS;
             let tile_at = |l: usize| [at(j, l), at(j + 1, l), at(j + 2, l), at(j + 3, l)];
-            for l in (first..full_end).step_by(TILE_COLS) {
-                tile::<TILE_ROWS, TILE_COLS>(out, tile_at(l), col(j), col(l), samples.clone());
-            }
-            for l in full_end..d {
-                tile::<TILE_ROWS, 1>(out, tile_at(l), col(j), col(l), samples.clone());
-            }
+            let cols = j + TILE_ROWS - 1..d;
+            tile_row::<TILE_ROWS, NB>(out, cols, tile_at, col(j), col, samples.clone());
             j += TILE_ROWS;
         }
         for r in j..rows.end {
-            let full_end = d - (d - r) % TILE_COLS;
-            for l in (r..full_end).step_by(TILE_COLS) {
-                tile::<1, TILE_COLS>(out, [at(r, l)], col(r), col(l), samples.clone());
-            }
-            for l in full_end..d {
-                tile::<1, 1>(out, [at(r, l)], col(r), col(l), samples.clone());
-            }
+            tile_row::<1, NB>(out, r..d, |l| [at(r, l)], col(r), col, samples.clone());
         }
     }
 }
@@ -189,10 +184,17 @@ impl PackedSym {
         let x = chunk.as_slice();
         par::for_each_split_mut(&mut self.data, &bounds, |piece, out| {
             let rows = piece_rows[piece]..piece_rows[piece + 1];
-            encoding.run(
-                #[inline(always)]
-                || rank_update_rows(x, chunk.rows(), d, rows, out),
-            );
+            let m = chunk.rows();
+            match encoding {
+                Encoding::Avx512 => encoding.run(
+                    #[inline(always)]
+                    || rank_update_rows::<WIDE_TILE_COLS>(x, m, d, rows, out),
+                ),
+                _ => encoding.run(
+                    #[inline(always)]
+                    || rank_update_rows::<TILE_COLS>(x, m, d, rows, out),
+                ),
+            }
         });
         Ok(())
     }

@@ -28,44 +28,52 @@
 //! ## Encodings
 //!
 //! The speed comes from compiling that same source with
-//! `#[target_feature(enable = "avx2")]`, chosen once per call when the
-//! CPU has it ([`Encoding::detect`]). No `fma` feature is enabled and no
-//! `mul_add` is written, so every product is rounded before it is added
-//! in both encodings, and the bits do not depend on the CPU. The portable
-//! (SSE2) encoding of the tile gains little over the row loops; it is the
-//! fallback, and tests run both encodings against the row loops.
+//! `#[target_feature(enable = "avx2")]` or
+//! `#[target_feature(enable = "avx512f")]`, chosen once per call from what
+//! the CPU has ([`Encoding::detect`] prefers AVX-512, then AVX2). The
+//! AVX-512 encoding runs the tile `4 × 16` ([`WIDE_TILE_COLS`]); the shape
+//! changes no output's sum (same products, same order, and the zero-lane
+//! argument above holds at any width). No `mul_add` is written and Rust never contracts a product and a sum into an FMA (the
+//! AVX-512 encoding could issue one), so every product is rounded before
+//! it is added in all three encodings, and the bits do not depend on the
+//! CPU. The portable (SSE2) encoding of the tile gains little over the
+//! row loops; it is the fallback, and tests run every encoding the CPU
+//! has against the row loops.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::par;
 use crate::Result;
+use std::ops::Range;
 
 /// Output rows of the tile (columns of `A`).
 pub(crate) const TILE_ROWS: usize = 4;
 /// Output columns of the tile (columns of `B`).
 pub(crate) const TILE_COLS: usize = 8;
 
-/// How the tiled kernels are compiled. Both encodings run the same source
-/// and produce the same bits.
+/// How the tiled kernels are compiled. Every encoding runs the same source
+/// and produces the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
     /// The target's baseline instruction set (SSE2 on x86-64).
     Portable,
     /// The same source compiled with AVX2 enabled (x86-64 only).
     Avx2,
+    /// The same source compiled with AVX-512F enabled (x86-64 only).
+    Avx512,
 }
 
 impl Encoding {
     /// Every encoding, portable first.
-    pub const ALL: [Encoding; 2] = [Encoding::Portable, Encoding::Avx2];
+    pub const ALL: [Encoding; 3] = [Encoding::Portable, Encoding::Avx2, Encoding::Avx512];
 
-    /// The fastest encoding this CPU runs: AVX2 when detected.
+    /// The fastest encoding this CPU runs: AVX-512, else AVX2, else the
+    /// portable one.
     pub fn detect() -> Self {
-        if Encoding::Avx2.is_available() {
-            Encoding::Avx2
-        } else {
-            Encoding::Portable
-        }
+        [Encoding::Avx512, Encoding::Avx2]
+            .into_iter()
+            .find(|e| e.is_available())
+            .unwrap_or(Encoding::Portable)
     }
 
     /// Whether this CPU can run the encoding.
@@ -74,8 +82,10 @@ impl Encoding {
             Encoding::Portable => true,
             #[cfg(target_arch = "x86_64")]
             Encoding::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Encoding::Avx512 => std::is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
-            Encoding::Avx2 => false,
+            Encoding::Avx2 | Encoding::Avx512 => false,
         }
     }
 
@@ -90,8 +100,12 @@ impl Encoding {
             // the only requirement of `with_avx2`.
             #[cfg(target_arch = "x86_64")]
             Encoding::Avx2 => unsafe { with_avx2(f) },
+            // SAFETY: the assert above checked that the CPU supports
+            // AVX-512F, the only requirement of `with_avx512`.
+            #[cfg(target_arch = "x86_64")]
+            Encoding::Avx512 => unsafe { with_avx512(f) },
             #[cfg(not(target_arch = "x86_64"))]
-            Encoding::Avx2 => unreachable!("AVX2 is only available on x86-64"),
+            Encoding::Avx2 | Encoding::Avx512 => unreachable!("{self:?} is x86-64 only"),
         }
     }
 }
@@ -105,6 +119,18 @@ impl Encoding {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// Calls `f` in a function compiled with AVX-512F enabled, so inlined
+/// code in `f` is encoded with it.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn with_avx512<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
@@ -134,6 +160,39 @@ pub(crate) fn tile<const MA: usize, const NB: usize>(
     }
     for (row, &o) in acc.iter().zip(&at) {
         out[o..o + NB].copy_from_slice(row);
+    }
+}
+
+/// Output columns of the tile in the AVX-512 encoding. An 8-wide register
+/// holds a whole row of a `4 × 8` tile, so that tile keeps only four
+/// independent sums in flight, and the adds' latency bounds it; sixteen
+/// columns keep eight, as `4 × 8` does in 4-wide AVX2 registers.
+pub(crate) const WIDE_TILE_COLS: usize = 2 * TILE_COLS;
+
+/// Tiles of `MA` output rows across the output columns `cols`: `NB` wide
+/// while `NB` columns remain, then [`TILE_COLS`] wide, then one wide.
+/// `at(j)` gives the output offsets of the tile at column `j`, `b(j)` the
+/// operand `B` from column `j` on.
+#[inline(always)]
+pub(crate) fn tile_row<'b, const MA: usize, const NB: usize>(
+    out: &mut [f64],
+    cols: Range<usize>,
+    at: impl Fn(usize) -> [usize; MA],
+    a: (&[f64], usize),
+    b: impl Fn(usize) -> (&'b [f64], usize),
+    shared: impl Iterator<Item = usize> + Clone,
+) {
+    let mut j = cols.start;
+    while j + NB <= cols.end {
+        tile::<MA, NB>(out, at(j), a, b(j), shared.clone());
+        j += NB;
+    }
+    while j + TILE_COLS <= cols.end {
+        tile::<MA, TILE_COLS>(out, at(j), a, b(j), shared.clone());
+        j += TILE_COLS;
+    }
+    for j in j..cols.end {
+        tile::<MA, 1>(out, at(j), a, b(j), shared.clone());
     }
 }
 
@@ -182,26 +241,33 @@ pub fn at_b_accumulate(
         .max(grain)
         .next_multiple_of(TILE_ROWS);
     par::for_each_chunk_mut(out.as_mut_slice(), rows_per * q, |piece, rows| {
-        encoding.run(
-            #[inline(always)]
-            || at_b_rows(a, b, (m, p, q), piece * rows_per, rows),
-        );
+        let l_start = piece * rows_per;
+        match encoding {
+            Encoding::Avx512 => encoding.run(
+                #[inline(always)]
+                || at_b_rows::<WIDE_TILE_COLS>(a, b, (m, p, q), l_start, rows),
+            ),
+            _ => encoding.run(
+                #[inline(always)]
+                || at_b_rows::<TILE_COLS>(a, b, (m, p, q), l_start, rows),
+            ),
+        }
     });
     Ok(())
 }
 
 /// [`at_b_accumulate`] for the output rows starting at `l_start` (a
-/// multiple of [`TILE_ROWS`]) that `out` holds.
+/// multiple of [`TILE_ROWS`]) that `out` holds, in tiles `NB` wide.
 #[inline(always)]
-fn at_b_rows(
+fn at_b_rows<const NB: usize>(
     a: &[f64],
     b: &[f64],
     (m, p, q): (usize, usize, usize),
     l_start: usize,
     out: &mut [f64],
 ) {
-    let full_cols = q - q % TILE_COLS;
     let mut live = Vec::with_capacity(m);
+    let b_from = |j: usize| (&b[j..], q);
     for block in (0..out.len() / q).step_by(TILE_ROWS) {
         let l0 = l_start + block;
         let width = TILE_ROWS.min(p - l0);
@@ -210,23 +276,12 @@ fn at_b_rows(
         let rows = live.iter().copied();
         let pos = |i: usize, j: usize| (block + i) * q + j;
         if width == TILE_ROWS {
-            let a_block = (&a[l0..], p);
             let tile_at = |j: usize| [pos(0, j), pos(1, j), pos(2, j), pos(3, j)];
-            for j in (0..full_cols).step_by(TILE_COLS) {
-                tile::<TILE_ROWS, TILE_COLS>(out, tile_at(j), a_block, (&b[j..], q), rows.clone());
-            }
-            for j in full_cols..q {
-                tile::<TILE_ROWS, 1>(out, tile_at(j), a_block, (&b[j..], q), rows.clone());
-            }
+            tile_row::<TILE_ROWS, NB>(out, 0..q, tile_at, (&a[l0..], p), b_from, rows);
         } else {
             for i in 0..width {
                 let a_col = (&a[l0 + i..], p);
-                for j in (0..full_cols).step_by(TILE_COLS) {
-                    tile::<1, TILE_COLS>(out, [pos(i, j)], a_col, (&b[j..], q), rows.clone());
-                }
-                for j in full_cols..q {
-                    tile::<1, 1>(out, [pos(i, j)], a_col, (&b[j..], q), rows.clone());
-                }
+                tile_row::<1, NB>(out, 0..q, |j| [pos(i, j)], a_col, b_from, rows.clone());
             }
         }
     }

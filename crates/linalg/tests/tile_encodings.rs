@@ -1,11 +1,11 @@
-//! Both encodings of the register-tiled `Aᵀ·B` kernels against the
+//! Every encoding of the register-tiled `Aᵀ·B` kernels against the
 //! row-axpy loops they replaced.
 //!
 //! `tile::at_b_accumulate` (the dense Gram gather) and
 //! `PackedSym::rank_update` (the streaming Gram update) promise results
 //! equal (`==`) to the loops below, which are the earlier kernels kept
-//! verbatim, in the portable and in the AVX2 encoding, at pool widths 1–3.
-//! The AVX2 runs are skipped, with a note on stderr, on a CPU without it.
+//! verbatim, in the portable, the AVX2 and the AVX-512 encoding, at pool
+//! widths 1–3. An encoding the CPU lacks is skipped, with a note on stderr.
 
 use least_linalg::tile::{at_b_accumulate, Encoding};
 use least_linalg::{par, DenseMatrix, PackedSym, Xoshiro256pp};
